@@ -1,10 +1,11 @@
-"""Decoders and the single-shot prepare / merge / split-then-decode pipeline.
+"""Minimum-weight decoders for the prepare / merge / split-then-decode pipeline.
 
-All decoders are minimum-weight with deterministic (lowest-int) tie breaks:
-lookup tables where the syndrome space is small (2D facets up to 19 qubits,
-cell syndromes up to 16 cells), exact per-cluster weight-bounded search for
-the joint data-plus-measurement preparation decode, and a deterministic
-greedy fallback above the search budget.
+Every decoder here is a view on one gf2.SyndromeDecoder, shared by all users
+of the same checks: minimum weight with deterministic (lowest-int) tie
+breaks, from a lookup table when there are at most 16 checks, otherwise from
+an exact per-cluster weight-bounded search with a deterministic greedy
+fallback above the search budget. The joint data-plus-measurement
+preparation decode always searches.
 
 Simulation runs in the Pauli difference frame against a common-random-numbers
 noiseless reference: preparation decodes the relative face syndrome, merges
@@ -14,358 +15,52 @@ the noisy and reference outcome vectors.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
-
-import numpy as np
-
 from . import gf2
-from .colex import FacetCode, facet_code
-from .noise import NoiseModel
-from .rng import make_rng
-from .surgery import Block, Pairing, TetrahelixCode, split_frame
-
-PREP_SEARCH_BUDGET = 120_000
-TABLE_2D_MAX_N = 19
-TABLE_CELLS_MAX = 16
-
-
-# ---------------------------------------------------------------------------
-# 2D facet decoder
-# ---------------------------------------------------------------------------
+from .colex import FacetCode
+from .rng import make_rng  # noqa: F401  perfbench/tracer.py patches decoder.make_rng
+from .surgery import Block
 
 
 class FacetDecoder:
     """Minimum-weight decoder for a triangular (2D color code) facet."""
 
     def __init__(self, fc: FacetCode):
-        self.fc = fc
-        self.n = fc.n
-        self.check_rows = tuple(gf2.vector_from_support(f) for f in fc.faces)
         self.logical = fc.logical
-        self.sigs = [
-            gf2.vector_from_support(
-                fi for fi, row in enumerate(self.check_rows) if row >> q & 1
-            )
-            for q in range(fc.n)
-        ]
-        if fc.n <= TABLE_2D_MAX_N:
-            self.table = gf2.syndrome_table(self.sigs)
-            self.search = None
-        else:
-            self.table = None
-            self.search = gf2.MinWeightExplainer(self.sigs, len(self.check_rows), False)
-
-    def syndrome(self, word: int) -> int:
-        s = 0
-        for fi, row in enumerate(self.check_rows):
-            if (row & word).bit_count() & 1:
-                s |= 1 << fi
-        return s
+        self.checks = gf2.SyndromeDecoder.of(
+            tuple(gf2.vector_from_support(f) for f in fc.faces), fc.n
+        )
 
     def decode(self, word: int) -> tuple[int, int]:
         """(logical bit, minimum-weight correction) for a measured pair word."""
-        syn = self.syndrome(word)
-        if self.table is not None:
-            corr = self.table[syn]
-        else:
-            corr, _ = self.search.solve(syn)
+        corr, _ = self.checks.decode(self.checks.syndrome(word))
         x = ((word ^ corr) & self.logical).bit_count() & 1
         return x, corr
-
-    def decompose(self, word: int) -> tuple[int, int, int]:
-        """(face-generator mask, logical bit, correction) with
-        word + correction = sum of faces + x * logical."""
-        x, corr = self.decode(word)
-        codeword = word ^ corr ^ (self.logical if x else 0)
-        mask = gf2.span_decompose(self.check_rows, self.n, codeword)
-        if mask is None:
-            raise ValueError("residual word is not in the facet code span")
-        return mask, x, corr
-
-
-# ---------------------------------------------------------------------------
-# Block decoder (3D tetrahedral code)
-# ---------------------------------------------------------------------------
 
 
 class BlockDecoder:
     """Preparation (face syndrome) and final (cell syndrome) decoders."""
 
     def __init__(self, block: Block):
-        self.block = block
         code = block.code
-        self.n = code.n
-        self.face_rows = code.hz.rows
-        self.cell_rows = code.hx.rows
+        self.faces = gf2.SyndromeDecoder.of(code.hz.rows, code.n, meas_cols=True)
+        self.cells = gf2.SyndromeDecoder.of(code.hx.rows, code.n)
         self.lx = code.logical_x
         self.lz = code.logical_z
-        self.qubit_faces = [
-            gf2.vector_from_support(
-                fi for fi, row in enumerate(self.face_rows) if row >> q & 1
-            )
-            for q in range(self.n)
-        ]
-        self.qubit_cells = [
-            gf2.vector_from_support(
-                ci for ci, row in enumerate(self.cell_rows) if row >> q & 1
-            )
-            for q in range(self.n)
-        ]
-        self.prep_search = gf2.MinWeightExplainer(
-            self.qubit_faces, len(self.face_rows), True, budget=PREP_SEARCH_BUDGET
-        )
-        if len(self.cell_rows) <= TABLE_CELLS_MAX:
-            self.cell_table = gf2.syndrome_table(self.qubit_cells)
-            self.cell_search = None
-        else:
-            self.cell_table = None
-            self.cell_search = gf2.MinWeightExplainer(
-                self.qubit_cells, len(self.cell_rows), False
-            )
 
-    def face_syndrome(self, x_pattern: int) -> int:
-        s = 0
-        for fi, row in enumerate(self.face_rows):
-            if (row & x_pattern).bit_count() & 1:
-                s |= 1 << fi
-        return s
-
-    def cell_syndrome(self, z_pattern: int) -> int:
-        s = 0
-        for ci, row in enumerate(self.cell_rows):
-            if (row & z_pattern).bit_count() & 1:
-                s |= 1 << ci
-        return s
-
-    def decode_prep(self, face_syndrome: int) -> tuple[int, int]:
+    def decode_prep(self, syndrome: int) -> tuple[int, int]:
         """Joint minimum-weight (data X pattern, measurement flips)."""
-        if face_syndrome == 0:
-            return 0, 0
-        return self.prep_search.solve(face_syndrome)
+        return self.faces.decode(syndrome)
 
-    def decode_cells(self, cell_syndrome: int) -> int:
+    def decode_cells(self, syndrome: int) -> int:
         """Minimum-weight Z-error hypothesis for violated cells."""
-        if cell_syndrome == 0:
-            return 0
-        if self.cell_table is not None:
-            return self.cell_table[cell_syndrome]
-        zhat, _ = self.cell_search.solve(cell_syndrome)
+        zhat, _ = self.cells.decode(syndrome)
         return zhat
-
-
-# ---------------------------------------------------------------------------
-# Single-shot preparation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrepReport:
-    n_data_faults: int
-    n_meas_faults: int
-    residual: int
-    residual_syndrome: int  # leftover face syndrome (= em ^ em_hat)
-    tetra_noncorrectable: bool  # residual acts as the X logical
-
-
-@dataclass(frozen=True)
-class PrepState:
-    residual_x: int  # X difference against the noiseless reference
-    carried_z: int  # Z faults drawn at the preparation stage
-    report: PrepReport
-
-
-def prepare_plus_single_shot(
-    block: Block, model: NoiseModel, seed, decoder: BlockDecoder | None = None
-) -> PrepState:
-    """One noisy Z-stabilizer round on |+>^n plus a single X correction.
-
-    Data X faults strike before the round; each face outcome may flip. The
-    correction is the joint minimum-weight explanation of the observed
-    syndrome; its X-stabilizer part stays in the frame (it is never applied
-    physically), so only the relative residual matters downstream.
-    """
-    dec = decoder or get_block_decoder(block)
-    rng = make_rng(seed)
-    n = block.code.n
-    nfaces = len(dec.face_rows)
-    cuts = np.cumsum([model.mix_x, model.mix_z, model.mix_y])
-    u_fault = rng.random(n + nfaces)
-    u_label = rng.random(n + nfaces)
-    e_d = 0
-    carried_z = 0
-    e_m = 0
-    for idx in np.flatnonzero(u_fault < model.epsilon):
-        label = int(np.searchsorted(cuts, u_label[idx], side="right"))
-        if idx < n:
-            if label in (0, 2):  # X or Y
-                e_d |= 1 << int(idx)
-            if label in (1, 2):  # Z or Y
-                carried_z |= 1 << int(idx)
-        elif label == 3:
-            e_m |= 1 << int(idx - n)
-    syndrome = dec.face_syndrome(e_d) ^ e_m
-    xhat, emhat = dec.decode_prep(syndrome)
-    residual = e_d ^ xhat
-    report = PrepReport(
-        n_data_faults=e_d.bit_count(),
-        n_meas_faults=e_m.bit_count(),
-        residual=residual,
-        residual_syndrome=e_m ^ emhat,
-        tetra_noncorrectable=bool((residual & dec.lz).bit_count() & 1),
-    )
-    return PrepState(residual, carried_z, report)
-
-
-# ---------------------------------------------------------------------------
-# Merge measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MergeWord:
-    w_e: int  # measured pair word (relative to the reference frame)
-    s2d_mask: int  # face-generator part of the decoded decomposition
-    x: int  # decoded logical bit
-
-
-@dataclass(frozen=True)
-class CorrectionPlan:
-    physical_x: int  # block-local correction: lifted cells plus x * X-bar
-    logical_x_applied: bool
-    cell_part: int  # lifted cell mask (frame only, never applied)
-
-
-@dataclass(frozen=True)
-class MergeOutcome:
-    word: MergeWord
-    plan: CorrectionPlan
-    logical_fix: int  # whether X-bar_left was applied
-    merge_noncorrectable: bool  # decode differs from the measurement-noise-free class
-    pair_flips: int
-
-
-def lift_2d_to_3d(
-    fc: FacetCode, block: Block, s2d_mask: int, x: int
-) -> CorrectionPlan:
-    """Map a 2D decomposition to a 3D codeword: faces to their incident cells,
-    2D logical to the 3D logical."""
-    physical = 0
-    for fi in gf2.support(s2d_mask):
-        if fi >= len(fc.face_cells):
-            raise ValueError(f"2D face {fi} has no incident cell")
-        ci = fc.face_cells[fi]
-        physical ^= gf2.vector_from_support(block.colex.cells[ci].vertices)
-    if x:
-        physical ^= block.code.logical_x
-    return CorrectionPlan(physical, bool(x), physical ^ (block.code.logical_x if x else 0))
-
-
-def merge_measure(
-    left: PrepState,
-    right: PrepState,
-    pairing: Pairing,
-    fc: FacetCode,
-    block: Block,
-    model: NoiseModel,
-    seed,
-    decoder: FacetDecoder | None = None,
-) -> MergeOutcome:
-    """Measure the weight-2 pair operators and fix the logical sector.
-
-    The relative pair word is the residual-error trace plus measurement
-    flips; the 2D decode chooses the logical fix (apply X-bar on the left
-    block or not) and the cell part of the lift stays in the frame.
-    """
-    dec = decoder or get_facet_decoder(fc)
-    rng = make_rng(seed)
-    npairs = len(pairing.pairs)
-    cuts = np.cumsum([model.mix_x, model.mix_z, model.mix_y])
-    u_fault = rng.random(npairs)
-    u_label = rng.random(npairs)
-    flips = 0
-    for idx in np.flatnonzero(u_fault < model.epsilon):
-        if int(np.searchsorted(cuts, u_label[idx], side="right")) == 3:
-            flips |= 1 << int(idx)
-    word = flips
-    for p, (vl, vr) in enumerate(pairing.pairs):
-        bit = (left.residual_x >> vl & 1) ^ (right.residual_x >> vr & 1)
-        word ^= bit << p
-    mask, x, _corr = dec.decompose(word)
-    x_true, _ = dec.decode(word ^ flips)
-    plan = lift_2d_to_3d(fc, block, mask, x)
-    return MergeOutcome(
-        MergeWord(word, mask, x),
-        plan,
-        logical_fix=x,
-        merge_noncorrectable=(x != x_true),
-        pair_flips=flips,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Final decode
-# ---------------------------------------------------------------------------
 
 
 def decode_tetrahedral(
     block: Block, outcomes: int, decoder: BlockDecoder | None = None
 ) -> int:
     """Logical X-bar value from single-qubit X outcomes of one block."""
-    dec = decoder or get_block_decoder(block)
-    syn = 0
-    for ci, row in enumerate(dec.cell_rows):
-        if (row & outcomes).bit_count() & 1:
-            syn |= 1 << ci
-    zhat = dec.decode_cells(syn)
+    dec = decoder or BlockDecoder(block)
+    zhat = dec.decode_cells(dec.cells.syndrome(outcomes))
     return ((outcomes & dec.lx).bit_count() + (zhat & dec.lx).bit_count()) & 1
-
-
-def pipeline_decode(t: TetrahelixCode, outcomes: int, ctx=None) -> int:
-    """Split in software, decode each tetrahedron, multiply the X-bar values."""
-    res = split_frame(t, outcomes)
-    out = 0
-    for b in range(t.k):
-        dec = get_block_decoder(t.blocks[b])
-        zhat = dec.decode_cells(res.block_syndromes[b])
-        lxb = t.block_slice(t.block_logical_x[b], b)
-        ob = res.block_outcomes[b]
-        out ^= ((ob & lxb).bit_count() + (zhat & lxb).bit_count()) & 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Shared decoder caches and trace export
-# ---------------------------------------------------------------------------
-
-_BLOCK_DECODERS: dict[int, BlockDecoder] = {}
-_FACET_DECODERS: dict[int, FacetDecoder] = {}
-_KEEPALIVE = []
-
-
-def get_block_decoder(block: Block) -> BlockDecoder:
-    key = id(block)
-    if key not in _BLOCK_DECODERS:
-        _BLOCK_DECODERS[key] = BlockDecoder(block)
-        _KEEPALIVE.append(block)
-    return _BLOCK_DECODERS[key]
-
-
-def get_facet_decoder(fc: FacetCode) -> FacetDecoder:
-    key = id(fc)
-    if key not in _FACET_DECODERS:
-        _FACET_DECODERS[key] = FacetDecoder(fc)
-        _KEEPALIVE.append(fc)
-    return _FACET_DECODERS[key]
-
-
-def merge_facet_codes(t: TetrahelixCode) -> list[FacetCode]:
-    return [facet_code(t.blocks[j].colex, pr.facet_color) for j, pr in enumerate(t.pairings)]
-
-
-def write_trace(path, records) -> None:
-    """Decoder trace export: one JSON object per line."""
-    with Path(path).open("w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")

@@ -8,6 +8,7 @@ downstream logical representatives are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -180,34 +181,6 @@ def in_rowspace(rows, ncols, v: int) -> bool:
         if v >> p & 1:
             v ^= row
     return v == 0
-
-
-def span_decompose(rows, ncols, v: int) -> int | None:
-    """Mask over row indices whose XOR equals v, or None if v is outside the
-    span. Deterministic: eliminates with lowest-column pivots."""
-    work = [(r, 1 << i) for i, r in enumerate(rows)]
-    pivots = []
-    for c in range(ncols):
-        bit = 1 << c
-        piv = None
-        for i in range(len(pivots), len(work)):
-            if work[i][0] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[len(pivots)], work[piv] = work[piv], work[len(pivots)]
-        prow, pcomb = work[len(pivots)]
-        for i in range(len(work)):
-            if i != len(pivots) and work[i][0] & bit:
-                work[i] = (work[i][0] ^ prow, work[i][1] ^ pcomb)
-        pivots.append(c)
-    comb = 0
-    for (row, rcomb), c in zip(work, pivots):
-        if v >> c & 1:
-            v ^= row
-            comb ^= rcomb
-    return comb if v == 0 else None
 
 
 @dataclass(frozen=True)
@@ -439,3 +412,49 @@ class MinWeightExplainer:
                 raise ValueError("inconsistent syndrome in data-only decode")
             data ^= extra
         return data, 0
+
+
+TABLE_MAX_CHECKS = 16
+
+
+class SyndromeDecoder:
+    """Minimum-weight decoder for the checks `check_rows` over `ncols` columns.
+
+    A lookup table of exact minimum-weight errors covers the whole syndrome
+    space when there are at most TABLE_MAX_CHECKS checks and no measurement
+    columns; otherwise a MinWeightExplainer solves each syndrome cluster by
+    cluster (minimum weight per cluster, greedy above its budget). With
+    meas_cols, every check also gets a flip column, for joint
+    data-plus-measurement decoding. Use `of` to share one decoder among all
+    users of the same checks.
+    """
+
+    def __init__(self, check_rows: tuple[int, ...], ncols: int, meas_cols: bool = False):
+        self.checks = BitMatrix.make(check_rows, ncols)
+        self.sigs = [
+            vector_from_support(ri for ri, row in enumerate(check_rows) if row >> q & 1)
+            for q in range(ncols)
+        ]
+        if len(check_rows) <= TABLE_MAX_CHECKS and not meas_cols:
+            self.table = syndrome_table(self.sigs)
+            self.search = None
+        else:
+            self.table = None
+            self.search = MinWeightExplainer(self.sigs, len(check_rows), meas_cols)
+
+    @classmethod
+    @functools.cache
+    def of(cls, check_rows: tuple[int, ...], ncols: int, meas_cols: bool = False):
+        """The decoder of these checks, built once per process."""
+        return cls(check_rows, ncols, meas_cols)
+
+    def syndrome(self, word: int) -> int:
+        return self.checks.mul_vec(word)
+
+    def decode(self, syndrome: int) -> tuple[int, int]:
+        """(column mask, measurement-flip mask) explaining the syndrome."""
+        if syndrome == 0:
+            return 0, 0
+        if self.table is not None:
+            return self.table[syndrome], 0
+        return self.search.solve(syndrome)

@@ -9,6 +9,7 @@ the common-random-numbers noiseless reference of the same trial.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gf2
-from .colex import build_tetrahedral_colex
-from .decoder import get_block_decoder, get_facet_decoder, merge_facet_codes
+from . import gf2, surgery
+from .colex import build_tetrahedral_colex, facet_code
+from .decoder import BlockDecoder, FacetDecoder
 from .iqp import (
     Distribution,
     IqpCircuit,
@@ -29,7 +30,7 @@ from .iqp import (
 )
 from .noise import NoiseModel, propagate, sample_iid_faults, stage_layout, twirl_mask
 from .rng import make_rng
-from .surgery import Block, TetrahelixCode, build_tetrahelix
+from .surgery import TetrahelixCode, build_tetrahelix
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -110,19 +111,17 @@ class ChainSim:
     def __init__(self, t: TetrahelixCode):
         self.t = t
         self.layout = stage_layout(t)
-        self.block_decoders = [get_block_decoder(b) for b in t.blocks]
-        self.facet_codes = merge_facet_codes(t)
-        self.facet_decoders = [get_facet_decoder(fc) for fc in self.facet_codes]
+        self.block_decoders = [BlockDecoder(b) for b in t.blocks]
+        self.facet_decoders = [
+            FacetDecoder(facet_code(t.blocks[j].colex, pr.facet_color))
+            for j, pr in enumerate(t.pairings)
+        ]
         self.kernel = gf2.kernel_basis(t.code.hx.rows, t.code.n)
-        self.pair_left = [
-            [vl for vl, _ in pr.pairs] for pr in t.pairings
-        ]
-        self.pair_right = [
-            [vr for _, vr in pr.pairs] for pr in t.pairings
-        ]
 
     @classmethod
+    @functools.cache
     def build(cls, k: int, L: int) -> "ChainSim":
+        """The simulator of the (k, L) chain, built once per process."""
         return cls(build_tetrahelix(k, L))
 
     def sample_reference(self, rng) -> int:
@@ -145,7 +144,7 @@ class ChainSim:
             dec = self.block_decoders[b]
             e_d = prop.prep_data_x.get(b, 0)
             e_m = prop.prep_meas.get(b, 0)
-            syndrome = dec.face_syndrome(e_d) ^ e_m if (e_d or e_m) else 0
+            syndrome = dec.faces.syndrome(e_d) ^ e_m if (e_d or e_m) else 0
             xhat, _ = dec.decode_prep(syndrome)
             r = e_d ^ xhat
             residuals.append(r)
@@ -185,9 +184,7 @@ class ChainSim:
         )
 
     def _decode(self, outcomes: int) -> int:
-        from .surgery import split_frame
-
-        res = split_frame(self.t, outcomes)
+        res = surgery.split_frame(self.t, outcomes)
         out = 0
         for b in range(self.t.k):
             dec = self.block_decoders[b]
@@ -218,7 +215,9 @@ class RateEstimate:
     corrupted: int = 0
 
 
-def _count_chunk(args) -> tuple[int, int, int, int]:
+def _count_chunk(args, records: list | None = None) -> tuple[int, int, int, int]:
+    """(failures, merge_nc, prep_nc, corrupted) over trials [start, stop);
+    appends one trace record per trial to `records` when given."""
     L, k, model, seed, start, stop = args
     sim = ChainSim.build(k, L)
     fails = merge_nc = prep_nc = corrupt = 0
@@ -228,7 +227,24 @@ def _count_chunk(args) -> tuple[int, int, int, int]:
         merge_nc += res.merge_noncorrectable
         prep_nc += res.prep_noncorrectable
         corrupt += res.corrupted
+        if records is not None:
+            records.append(
+                {
+                    "trial": trial,
+                    "n_faults": res.n_faults,
+                    "sector_flips": list(res.sector_flips),
+                    "prep_noncorrectable": res.prep_noncorrectable,
+                    "failed": res.failed,
+                }
+            )
     return fails, merge_nc, prep_nc, corrupt
+
+
+def write_trace(path, records) -> None:
+    """Decoder trace export: one JSON object per line."""
+    with Path(path).open("w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
 
 def logical_error_rate(
@@ -249,31 +265,11 @@ def logical_error_rate(
     """
     if L > max_l or k > max_k:
         raise ValueError(f"(L={L}, k={k}) exceeds caps (max_l={max_l}, max_k={max_k})")
-    if trace_path is not None:
-        from .decoder import write_trace
-
-        sim = ChainSim.build(k, L)
-        records = []
-        fails = merge_nc = prep_nc = corrupt = 0
-        for trial in range(trials):
-            res = sim.run_trial(model, seed, trial)
-            fails += res.failed
-            merge_nc += res.merge_noncorrectable
-            prep_nc += res.prep_noncorrectable
-            corrupt += res.corrupted
-            records.append(
-                {
-                    "trial": trial,
-                    "n_faults": res.n_faults,
-                    "sector_flips": list(res.sector_flips),
-                    "prep_noncorrectable": res.prep_noncorrectable,
-                    "failed": res.failed,
-                }
-            )
-        write_trace(trace_path, records)
-        counts = (fails, merge_nc, prep_nc, corrupt)
-    elif workers <= 1 or trials < 2 * workers:
-        counts = _count_chunk((L, k, model, seed, 0, trials))
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    records = None if trace_path is None else []
+    if records is not None or workers <= 1 or trials < 2 * workers:
+        counts = _count_chunk((L, k, model, seed, 0, trials), records)
     else:
         bounds = np.linspace(0, trials, workers + 1, dtype=int)
         jobs = [
@@ -283,6 +279,8 @@ def logical_error_rate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_chunk, jobs))
         counts = tuple(sum(col) for col in zip(*parts))
+    if records is not None:
+        write_trace(trace_path, records)
     fails, merge_nc, prep_nc, corrupt = counts
     lo, hi = wilson_interval(fails, trials)
     return RateEstimate(
@@ -541,22 +539,11 @@ class PrepScanRow:
 
 
 def prep_scan(L: int, model: NoiseModel, trials: int, seed: int) -> PrepScanRow:
-    """Estimate the noncorrectable preparation and merge rates empirically."""
-    from .decoder import merge_measure, prepare_plus_single_shot
-
-    block = Block.build(build_tetrahedral_colex(L))
-    t2 = build_tetrahelix(2, L, block=block)
-    fc = merge_facet_codes(t2)[0]
-    tetra_nc = merge_nc = 0
-    for trial in range(trials):
-        left = prepare_plus_single_shot(block, model, (seed, trial, 10))
-        right = prepare_plus_single_shot(block, model, (seed, trial, 11))
-        tetra_nc += left.report.tetra_noncorrectable
-        tetra_nc += right.report.tetra_noncorrectable
-        out = merge_measure(
-            left, right, t2.pairings[0], fc, block, model, (seed, trial, 12)
-        )
-        merge_nc += out.merge_noncorrectable
+    """Estimate the noncorrectable preparation and merge rates empirically,
+    from the two preparations and the merge of k=2 chain trials."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _, merge_nc, tetra_nc, _ = _count_chunk((L, 2, model, seed, 0, trials))
     t_lo, t_hi = wilson_interval(tetra_nc, 2 * trials)
     m_lo, m_hi = wilson_interval(merge_nc, trials)
     return PrepScanRow(

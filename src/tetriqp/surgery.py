@@ -14,6 +14,7 @@ bringing every block back near its own tetrahedral code space.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,6 +94,11 @@ class TetrahelixCode:
         for x in self.block_logical_x:
             xbar ^= x
         return xbar, self.code.logical_z, self.block_logical_x
+
+    @functools.cached_property
+    def split_context(self) -> "SplitContext":
+        """The software-split structure of this chain, built on first use."""
+        return SplitContext(self)
 
 
 def mirror(c: Colex) -> tuple[Colex, tuple[int, ...]]:
@@ -273,34 +279,14 @@ class SplitResult:
 class SplitContext:
     """Precomputed structure for the software split of one chain.
 
-    Holds the gauge-invariant chain-stabilizer incidences, a min-weight
-    explainer for the chain syndrome, and for every merge a dual basis of
-    pair patterns: rho[c] flips exactly the fused pair c (and no other) on
-    both sides of the merge.
+    Holds the decoder of the gauge-invariant chain stabilizers (the fused
+    cells, shared with every code that has the same checks) and for every
+    merge a dual basis of pair patterns: rho[c] flips exactly the fused pair
+    c (and no other) on both sides of the merge.
     """
 
     def __init__(self, t: TetrahelixCode):
-        self.t = t
-        n = t.code.n
-        self.chain_rows = t.code.hx.rows
-        self.qubit_sigs = [
-            gf2.vector_from_support(
-                ri for ri, row in enumerate(self.chain_rows) if row >> q & 1
-            )
-            for q in range(n)
-        ]
-        if len(self.chain_rows) <= 16:
-            self.table = gf2.syndrome_table(self.qubit_sigs)
-            self.search = None
-        else:
-            self.table = None
-            self.search = gf2.MinWeightExplainer(
-                self.qubit_sigs, len(self.chain_rows), meas_cols=False
-            )
-        self.cell_rows = [
-            [gf2.vector_from_support(c.vertices) for c in t.blocks[b].colex.cells]
-            for b in range(t.k)
-        ]
+        self.chain = gf2.SyndromeDecoder.of(t.code.hx.rows, t.code.n)
         # per merge: fused pairs in priority order (summits/edges first, then
         # bulk, ties by lowest block then cell id) with their dual patterns
         span_of = {}
@@ -310,6 +296,7 @@ class SplitContext:
                 span_of[member] = s
         self.merges = []
         for j, pr in enumerate(t.pairings):
+            cell_rows = t.blocks[j].code.hx.rows
             traces = []
             order = sorted(
                 t.merge_cell_maps[j],
@@ -318,7 +305,7 @@ class SplitContext:
             for ci, _ in order:
                 mask = 0
                 for pi, (vl, _) in enumerate(pr.pairs):
-                    if self.cell_rows[j][ci] >> vl & 1:
+                    if cell_rows[ci] >> vl & 1:
                         mask |= 1 << pi
                 traces.append(mask)
             m = gf2.BitMatrix.make(traces, len(pr.pairs))
@@ -326,66 +313,40 @@ class SplitContext:
                 raise MergeError(
                     f"merge {j}: fused traces are linearly dependent"
                 )
-            rho = []
-            for i in range(len(traces)):
-                sol = gf2.solve(m, 1 << i)
-                rho.append(sol)
-            self.merges.append((order, traces, rho))
-
-    def chain_syndrome(self, outcomes: int) -> int:
-        s = 0
-        for ri, row in enumerate(self.chain_rows):
-            if (row & outcomes).bit_count() & 1:
-                s |= 1 << ri
-        return s
-
-    def chain_hypothesis(self, syndrome: int) -> int:
-        if syndrome == 0:
-            return 0
-        if self.table is not None:
-            return self.table[syndrome]
-        zhat, _ = self.search.solve(syndrome)
-        return zhat
-
-
-_SPLIT_CONTEXTS: dict[int, SplitContext] = {}
-_SPLIT_KEEPALIVE = []
+            rho = [gf2.solve(m, 1 << i) for i in range(len(traces))]
+            self.merges.append((order, rho))
 
 
 def get_split_context(t: TetrahelixCode) -> SplitContext:
-    key = id(t)
-    if key not in _SPLIT_CONTEXTS:
-        _SPLIT_CONTEXTS[key] = SplitContext(t)
-        _SPLIT_KEEPALIVE.append(t)
-    return _SPLIT_CONTEXTS[key]
+    return t.split_context
 
 
-def split_frame(t: TetrahelixCode, outcomes: int, ctx: SplitContext | None = None) -> SplitResult:
+def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
     """Frame outcomes with pair stabilizers to re-enter per-block code spaces.
 
     The frame must not destroy error information, so the gauge sector is
-    separated from genuine errors first: a minimum-weight hypothesis for the
-    (gauge-invariant) chain syndrome is computed, the cell values it predicts
-    are subtracted, and the remaining consistent sector is driven to +1 merge
-    by merge through the precomputed dual pair patterns - summit and edge
-    classes first, then bulk. Only pair products are ever applied, so the
-    chain logical parity is untouched; what is left in each block is exactly
-    the per-block image of the hypothesis, which the tetrahedral decoders
-    then resolve.
+    separated from genuine errors first: the chain's SyndromeDecoder gives a
+    minimum-weight hypothesis for the (gauge-invariant) chain syndrome, the
+    cell values it predicts are subtracted, and the remaining consistent
+    sector is driven to +1 merge by merge through the dual pair patterns of
+    the chain's split context - summit and edge classes first, then bulk.
+    Only pair products are ever applied, so the chain logical parity is
+    untouched; what is left in each block is exactly the per-block image of
+    the hypothesis, which the tetrahedral decoders then resolve.
     """
-    ctx = ctx or get_split_context(t)
+    ctx = t.split_context
     k = t.k
     outs = [t.block_slice(outcomes, b) for b in range(k)]
-    zhat = ctx.chain_hypothesis(ctx.chain_syndrome(outcomes))
+    zhat, _ = ctx.chain.decode(ctx.chain.syndrome(outcomes))
     zparts = [t.block_slice(zhat, b) for b in range(k)]
 
     frames = []
     for j, pr in enumerate(t.pairings):
-        order, _, rho = ctx.merges[j]
+        order, rho = ctx.merges[j]
+        cell_rows = t.blocks[j].code.hx.rows
         sigma = 0
         for (ci, _), pattern in zip(order, rho):
-            row = ctx.cell_rows[j][ci]
-            sector = ((outs[j] ^ zparts[j]) & row).bit_count() & 1
+            sector = ((outs[j] ^ zparts[j]) & cell_rows[ci]).bit_count() & 1
             if sector:
                 sigma ^= pattern
         frames.append(sigma)
@@ -395,14 +356,8 @@ def split_frame(t: TetrahelixCode, outcomes: int, ctx: SplitContext | None = Non
                 outs[j] ^= 1 << vl
                 outs[j + 1] ^= 1 << vr
 
-    syndromes = []
-    for b in range(k):
-        s = 0
-        for ci, row in enumerate(ctx.cell_rows[b]):
-            if (outs[b] & row).bit_count() & 1:
-                s |= 1 << ci
-        syndromes.append(s)
-    return SplitResult(tuple(outs), tuple(syndromes), tuple(frames))
+    syndromes = tuple(t.blocks[b].code.hx.mul_vec(outs[b]) for b in range(k))
+    return SplitResult(tuple(outs), syndromes, tuple(frames))
 
 
 # ---------------------------------------------------------------------------

@@ -202,7 +202,7 @@ def _single_fault_cases(sim):
         if prep is not None:
             b, e_d, e_m = prep
             dec = sim.block_decoders[b]
-            syn = dec.face_syndrome(e_d) ^ e_m
+            syn = dec.faces.syndrome(e_d) ^ e_m
             xhat, _ = dec.decode_prep(syn)
             residuals[b] = e_d ^ xhat
             x_total ^= residuals[b] << t.block_offset(b)

@@ -103,6 +103,15 @@ def test_mc_prep(tmp_path):
     assert data[0]["L"] == 3
 
 
+@pytest.mark.parametrize("what", ["pipeline", "prep"])
+@pytest.mark.parametrize("trials", [0, -5])
+def test_mc_rejects_nonpositive_trials(tmp_path, capsys, what, trials):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "Ls": [3], "trials": trials, "seed": 2}))
+    assert run(["mc", what, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+
+
 def test_e2e(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

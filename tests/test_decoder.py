@@ -5,8 +5,9 @@ import pytest
 
 from tetriqp import colex as cx
 from tetriqp import decoder as dc
-from tetriqp import gf2
-from tetriqp.noise import NoiseModel
+from tetriqp import gf2, harness
+from tetriqp.harness import ChainSim
+from tetriqp.noise import FaultSet, NoiseModel
 from tetriqp.surgery import Block, build_tetrahelix
 
 
@@ -17,7 +18,7 @@ def block3():
 
 @pytest.fixture(scope="module")
 def dec3(block3):
-    return dc.get_block_decoder(block3)
+    return dc.BlockDecoder(block3)
 
 
 @pytest.fixture(scope="module")
@@ -26,12 +27,17 @@ def chain2(block3):
 
 
 @pytest.fixture(scope="module")
+def sim2(chain2):
+    return ChainSim(chain2)
+
+
+@pytest.fixture(scope="module")
 def fc3(block3):
     return cx.facet_code(block3.colex, 0)
 
 
 def test_2d_trivial_cases(fc3):
-    fd = dc.get_facet_decoder(fc3)
+    fd = dc.FacetDecoder(fc3)
     assert fd.decode(0) == (0, 0)
     assert fd.decode(fc3.logical) == (1, 0)
 
@@ -39,7 +45,7 @@ def test_2d_trivial_cases(fc3):
 def test_2d_lookup_true_min_weight(fc3):
     # exhaustive: for every 7-bit word the returned correction has minimum
     # weight among all corrections reaching a codeword
-    fd = dc.get_facet_decoder(fc3)
+    fd = dc.FacetDecoder(fc3)
     stab = [gf2.vector_from_support(f) for f in fc3.faces]
     codewords = set()
     for mask in range(1 << len(stab)):
@@ -57,7 +63,7 @@ def test_2d_lookup_true_min_weight(fc3):
 
 
 def test_2d_stabilizer_plus_flip(fc3):
-    fd = dc.get_facet_decoder(fc3)
+    fd = dc.FacetDecoder(fc3)
     stab = gf2.vector_from_support(fc3.faces[0])
     for q in range(fc3.n):
         x, corr = fd.decode(stab ^ (1 << q))
@@ -67,66 +73,60 @@ def test_2d_stabilizer_plus_flip(fc3):
 
 def test_2d_single_flip_corrected_l5():
     fc = cx.facet_code(cx.build_tetrahedral_colex(5), 2)
-    fd = dc.get_facet_decoder(fc)
+    fd = dc.FacetDecoder(fc)
     for q in range(fc.n):
         x, corr = fd.decode(fc.logical ^ (1 << q))
         assert x == 1 and corr == 1 << q
 
 
-def test_lift_empty(fc3, block3):
-    plan = dc.lift_2d_to_3d(fc3, block3, 0, 0)
-    assert plan.physical_x == 0 and not plan.logical_x_applied
-
-
 def test_lift_single_face(fc3, block3):
-    facet_qubits = gf2.vector_from_support(fc3.qubits)
+    # each facet face is the trace of its incident cell, which is what lets a
+    # 2D merge decode act on the 3D block through that cell
     for fi in range(len(fc3.faces)):
-        plan = dc.lift_2d_to_3d(fc3, block3, 1 << fi, 0)
-        # restriction to the facet equals the 2D face
+        cell = gf2.vector_from_support(block3.colex.cells[fc3.face_cells[fi]].vertices)
         local = 0
         for pos, q in enumerate(fc3.qubits):
-            if plan.physical_x >> q & 1:
+            if cell >> q & 1:
                 local |= 1 << pos
         assert local == gf2.vector_from_support(fc3.faces[fi])
-        # and the lifted operator is a Z-stabilizer-commuting codeword
-        assert block3.code.z_syndrome(plan.physical_x) == 0
+        # and the cell is a Z-stabilizer-commuting codeword
+        assert block3.code.z_syndrome(cell) == 0
 
 
 def test_lift_logical(fc3, block3):
-    plan = dc.lift_2d_to_3d(fc3, block3, 0, 1)
+    # the facet logical is the trace of the 3D X logical
     local = 0
     for pos, q in enumerate(fc3.qubits):
-        if plan.physical_x >> q & 1:
+        if block3.code.logical_x >> q & 1:
             local |= 1 << pos
     assert local == fc3.logical
-    assert plan.logical_x_applied
 
 
-def test_prep_noiseless(block3):
-    st = dc.prepare_plus_single_shot(block3, NoiseModel(0.0), 9)
-    assert st.residual_x == 0
-    assert not st.report.tetra_noncorrectable
+def test_prep_noiseless(dec3, sim2):
+    assert dec3.decode_prep(0) == (0, 0)
+    for trial in range(20):
+        assert sim2.run_trial(NoiseModel(0.0), 9, trial).prep_noncorrectable == 0
 
 
 def test_prep_single_measurement_flip(block3, dec3):
     # a single flipped face outcome is explained as a measurement error:
     # residual weight stays below the flipped stabilizer's weight
-    for f in range(len(dec3.face_rows)):
+    for f in range(dec3.faces.checks.nrows):
         xhat, emhat = dec3.decode_prep(1 << f)
         assert xhat == 0 and emhat == 1 << f
 
 
 def test_prep_single_data_fault_fully_corrected(dec3):
     for q in range(15):
-        syn = dec3.face_syndrome(1 << q)
+        syn = dec3.faces.syndrome(1 << q)
         xhat, emhat = dec3.decode_prep(syn)
         assert xhat == 1 << q and emhat == 0
 
 
 def _global_min_explanation(dec, syn, cap):
     # brute-force oracle over all data and measurement columns up to weight cap
-    cols = [(dec.face_syndrome(1 << q)) for q in range(15)] + [
-        1 << f for f in range(len(dec.face_rows))
+    cols = [(dec.faces.syndrome(1 << q)) for q in range(15)] + [
+        1 << f for f in range(dec.faces.checks.nrows)
     ]
     for w in range(cap + 1):
         for combo in itertools.combinations(range(len(cols)), w):
@@ -149,10 +149,10 @@ def test_prep_explanation_always_valid(block3, dec3):
         for f in range(18):
             if rng.random() < 0.08:
                 e_m |= 1 << f
-        syn = dec3.face_syndrome(e_d) ^ e_m
+        syn = dec3.faces.syndrome(e_d) ^ e_m
         xhat, emhat = dec3.decode_prep(syn)
         # the explanation always reproduces the observed syndrome
-        assert dec3.face_syndrome(xhat) ^ emhat == syn
+        assert dec3.faces.syndrome(xhat) ^ emhat == syn
 
 
 def test_prep_single_cluster_min_weight(block3, dec3):
@@ -160,28 +160,25 @@ def test_prep_single_cluster_min_weight(block3, dec3):
     # weight: a data fault plus measurement flips on its own faces
     rng = random.Random(6)
     for q in range(15):
-        faces = gf2.support(dec3.qubit_faces[q])
+        faces = gf2.support(dec3.faces.sigs[q])
         for f in faces[:2]:
-            syn = dec3.face_syndrome(1 << q) ^ (1 << f)
+            syn = dec3.faces.syndrome(1 << q) ^ (1 << f)
             xhat, emhat = dec3.decode_prep(syn)
-            assert dec3.face_syndrome(xhat) ^ emhat == syn
+            assert dec3.faces.syndrome(xhat) ^ emhat == syn
             best = _global_min_explanation(dec3, syn, 2)
             assert xhat.bit_count() + emhat.bit_count() == best
 
 
-def test_merge_noiseless(block3, chain2, fc3):
-    st = dc.prepare_plus_single_shot(block3, NoiseModel(0.0), 1)
-    out = dc.merge_measure(
-        st, st, chain2.pairings[0], fc3, block3, NoiseModel(0.0), 2
-    )
-    assert out.word.w_e == 0
-    assert out.logical_fix == 0
-    assert not out.merge_noncorrectable
+def test_merge_noiseless(sim2, fc3):
+    assert dc.FacetDecoder(fc3).decode(0) == (0, 0)
+    for trial in range(20):
+        res = sim2.run_trial(NoiseModel(0.0), 2, trial)
+        assert res.sector_flips == (0,)
+        assert res.merge_noncorrectable == 0
 
 
-def test_merge_single_flip_harmless(block3, chain2, fc3):
-    clean = dc.prepare_plus_single_shot(block3, NoiseModel(0.0), 1)
-    fd = dc.get_facet_decoder(fc3)
+def test_merge_single_flip_harmless(fc3):
+    fd = dc.FacetDecoder(fc3)
     for p in range(7):
         x, corr = fd.decode(1 << p)
         assert x == 0 and corr == 1 << p
@@ -189,7 +186,7 @@ def test_merge_single_flip_harmless(block3, chain2, fc3):
 
 def test_merge_two_flips_can_err(fc3):
     # distance 3: some adversarial weight-2 flip pattern decodes to x = 1
-    fd = dc.get_facet_decoder(fc3)
+    fd = dc.FacetDecoder(fc3)
     flipped = 0
     for a, b in itertools.combinations(range(7), 2):
         x, _ = fd.decode((1 << a) | (1 << b))
@@ -197,15 +194,23 @@ def test_merge_two_flips_can_err(fc3):
     assert flipped > 0
 
 
-def test_merge_residual_drives_word(block3, chain2, fc3):
+def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
-    st0 = dc.prepare_plus_single_shot(block3, NoiseModel(0.0), 1)
-    vl, vr = chain2.pairings[0].pairs[2]
-    st1 = dc.PrepState(1 << vl, 0, st0.report)
-    out = dc.merge_measure(
-        st1, st0, chain2.pairings[0], fc3, block3, NoiseModel(0.0), 3
-    )
-    assert out.word.w_e == 1 << 2
+    vl, _ = chain2.pairings[0].pairs[2]
+    fault = FaultSet(((("prep_data", 0, vl), "X", 0),))
+    monkeypatch.setattr(harness, "sample_iid_faults", lambda *args: fault)
+    # an idle preparation decoder leaves the fault as the residual
+    monkeypatch.setattr(dc.BlockDecoder, "decode_prep", lambda self, syndrome: (0, 0))
+    words = []
+    decode = dc.FacetDecoder.decode
+
+    def recording_decode(self, word):
+        words.append(word)
+        return decode(self, word)
+
+    monkeypatch.setattr(dc.FacetDecoder, "decode", recording_decode)
+    sim2.run_trial(NoiseModel(0.0), 3, 0)
+    assert words[0] == 1 << 2
 
 
 def test_decode_tetrahedral_noiseless(block3):
@@ -241,7 +246,7 @@ def test_decode_tetrahedral_weight2_fails_sometimes(block3):
     assert fails > 0
 
 
-def test_pipeline_noiseless(chain2):
+def test_pipeline_noiseless(sim2, chain2):
     rng = random.Random(14)
     kb = gf2.kernel_basis(chain2.code.hx.rows, 30)
     for _ in range(25):
@@ -250,10 +255,10 @@ def test_pipeline_noiseless(chain2):
             if rng.getrandbits(1):
                 o ^= v
         want = (o & chain2.code.logical_x).bit_count() & 1
-        assert dc.pipeline_decode(chain2, o) == want
+        assert sim2._decode(o) == want
 
 
-def test_pipeline_single_flip_exhaustive(chain2):
+def test_pipeline_single_flip_exhaustive(sim2, chain2):
     rng = random.Random(15)
     kb = gf2.kernel_basis(chain2.code.hx.rows, 30)
     for q in range(30):
@@ -261,11 +266,11 @@ def test_pipeline_single_flip_exhaustive(chain2):
         for v in kb:
             if rng.getrandbits(1):
                 o ^= v
-        ref = dc.pipeline_decode(chain2, o)
-        assert dc.pipeline_decode(chain2, o ^ (1 << q)) == ref
+        ref = sim2._decode(o)
+        assert sim2._decode(o ^ (1 << q)) == ref
 
 
-def test_pipeline_frame_invariance(chain2):
+def test_pipeline_frame_invariance(sim2, chain2):
     # XORing any Hz row or pair row into the outcomes never changes the result
     rng = random.Random(16)
     kb = gf2.kernel_basis(chain2.code.hx.rows, 30)
@@ -273,12 +278,12 @@ def test_pipeline_frame_invariance(chain2):
     for v in kb:
         if rng.getrandbits(1):
             o ^= v
-    base = dc.pipeline_decode(chain2, o)
+    base = sim2._decode(o)
     for row in chain2.code.hz.rows:
-        assert dc.pipeline_decode(chain2, o ^ row) == base
+        assert sim2._decode(o ^ row) == base
 
 
-def test_inter_block_strings_corrected(chain2):
+def test_inter_block_strings_corrected(sim2, chain2):
     # error strings of weight < 2 per block jumping across the merge
     rng = random.Random(17)
     kb = gf2.kernel_basis(chain2.code.hx.rows, 30)
@@ -291,35 +296,18 @@ def test_inter_block_strings_corrected(chain2):
             for v in kb:
                 if rng.getrandbits(1):
                     o ^= v
-            ref = dc.pipeline_decode(chain2, o)
-            got = dc.pipeline_decode(chain2, o ^ e)
+            ref = sim2._decode(o)
+            got = sim2._decode(o ^ e)
             assert got == ref
 
 
-def test_trace_export(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    dc.write_trace(path, [{"trial": 0, "fail": False}, {"trial": 1, "fail": True}])
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 2
-    import json
-
-    assert json.loads(lines[1])["fail"] is True
-
-
-def test_merge_flags_zero_noise_and_noisy(block3, chain2, fc3):
-    clean = dc.prepare_plus_single_shot(block3, NoiseModel(0.0), 1)
-    out = dc.merge_measure(
-        clean, clean, chain2.pairings[0], fc3, block3, NoiseModel(0.0), 5
-    )
-    assert not out.merge_noncorrectable
+def test_merge_flags_zero_noise_and_noisy(sim2):
+    assert sim2.run_trial(NoiseModel(0.0), 5, 0).merge_noncorrectable == 0
     # heavy measurement noise produces wrong merge decodes eventually
+    model = NoiseModel(0.4, mix_x=0, mix_z=0, mix_y=0, mix_meas=1.0)
     flagged = 0
-    for s in range(300):
-        out = dc.merge_measure(
-            clean, clean, chain2.pairings[0], fc3, block3,
-            NoiseModel(0.4, mix_x=0, mix_z=0, mix_y=0, mix_meas=1.0), (6, s),
-        )
-        flagged += out.merge_noncorrectable
+    for trial in range(300):
+        flagged += sim2.run_trial(model, 6, trial).merge_noncorrectable
     assert flagged > 0
 
 

@@ -145,3 +145,27 @@ def test_bitmatrix_validation():
 def test_bits_round_trip():
     for v in (0, 1, 0b1011):
         assert gf2.from_bits(gf2.to_bits(v, 6)) == v
+
+
+
+def test_syndrome_decoder_table_and_search_paths():
+    rng = random.Random(21)
+    # 6 checks: the table gives a minimum-weight correction for every syndrome
+    rows = tuple(gf2.random_rows(rng, 6, 10))
+    dec = gf2.SyndromeDecoder(rows, 10)
+    assert dec.table is not None
+    lightest = {}
+    for err in range(1 << 10):
+        syn = dec.syndrome(err)
+        lightest[syn] = min(lightest.get(syn, 10), err.bit_count())
+    for syn, w in lightest.items():
+        corr, meas = dec.decode(syn)
+        assert meas == 0 and dec.syndrome(corr) == syn and corr.bit_count() == w
+    # 18 checks: the explainer's correction reproduces the syndrome
+    rows = tuple(gf2.random_rows(rng, 18, 12))
+    dec = gf2.SyndromeDecoder(rows, 12)
+    assert dec.table is None
+    for err in rng.sample(range(1 << 12), 200):
+        corr, meas = dec.decode(dec.syndrome(err))
+        assert meas == 0 and dec.syndrome(corr) == dec.syndrome(err)
+    assert gf2.SyndromeDecoder.of(rows, 12) is gf2.SyndromeDecoder.of(rows, 12)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from tetriqp import harness, iqp
+from tetriqp import gf2, harness, iqp, surgery
 from tetriqp.harness import ChainSim, ExperimentConfig
 from tetriqp.noise import NoiseModel
+from tetriqp.surgery import build_tetrahelix
 
 
 def test_wilson_interval():
@@ -18,8 +19,9 @@ def test_wilson_interval():
 
 
 def test_trial_determinism():
+    # the shared simulator agrees with a freshly built one
     sim1 = ChainSim.build(2, 3)
-    sim2 = ChainSim.build(2, 3)
+    sim2 = ChainSim(build_tetrahelix(2, 3))
     model = NoiseModel(0.05)
     for t in range(50):
         assert sim1.run_trial(model, 9, t) == sim2.run_trial(model, 9, t)
@@ -244,6 +246,41 @@ def test_bootstrap_ci_sqrt_scaling():
     ratio = widths[0] / widths[1]
     # quadrupling samples should halve the width, within statistical slack
     assert 1.3 < ratio < 3.2
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_nonpositive_trials_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        harness.logical_error_rate(3, 1, NoiseModel(0.01), trials, seed=1)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        harness.prep_scan(3, NoiseModel(0.01), trials, seed=1)
+
+
+def test_simulator_and_decoders_built_once(monkeypatch):
+    sim = ChainSim.build(1, 3)
+    assert ChainSim.build(1, 3) is sim
+    # the k=1 chain's split decoder is its block's cell decoder
+    assert surgery.get_split_context(sim.t).chain is sim.block_decoders[0].cells
+    harness.logical_error_rate(3, 2, NoiseModel(0.02), 5, seed=0)
+    built = []
+    init = gf2.SyndromeDecoder.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(gf2.SyndromeDecoder, "__init__", counting_init)
+    for seed in range(1, 21):
+        harness.logical_error_rate(3, 2, NoiseModel(0.02), 5, seed=seed)
+    assert built == []
+
+
+def test_trace_export(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    harness.write_trace(path, [{"trial": 0, "fail": False}, {"trial": 1, "fail": True}])
+    lines = path.read_text().strip().split("\n")
+    assert len(lines) == 2
+    assert json.loads(lines[1])["fail"] is True
 
 
 def test_trace_output(tmp_path):
