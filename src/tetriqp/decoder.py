@@ -7,10 +7,12 @@ an exact per-cluster weight-bounded search with a deterministic greedy
 fallback above the search budget. The joint data-plus-measurement
 preparation decode always searches.
 
-Simulation runs in the Pauli difference frame against a common-random-numbers
-noiseless reference: preparation decodes the relative face syndrome, merges
-decode the relative pair word, and the final logical bit is compared between
-the noisy and reference outcome vectors.
+Simulation runs in the Pauli difference frame: preparation decodes the face
+syndrome of the faults, merges decode the pair word they flip, and a trial
+fails when the decoded logical of the outcome flips is 1. A noiseless outcome
+lies in ker(Hx) and adds no syndrome to any decoder, so the decoded logical is
+affine in the outcomes, and that is the event that the noisy outcome decodes
+differently from the noiseless one.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@ end-to-end total-variation experiments, and the overhead calculator.
 
 Every trial derives its own random streams from (seed, trial, tag), so
 results are bit-identical for a fixed seed no matter how trials are chunked
-across workers. The failure event is a decoded logical bit that differs from
-the common-random-numbers noiseless reference of the same trial.
+across workers. A trial fails when the decoded logical of its noisy outcome
+flips f is 1. That is the event that the noisy outcome decodes differently
+from the noiseless one, whatever noiseless outcome o the trial had: o lies in
+ker(Hx) and splits into blocks with zero syndromes, so every decoder sees the
+same syndromes for o ^ f as for f, and decode(o ^ f) = decode(o) ^ decode(f).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .iqp import (
     sample_circuit,
 )
 from .noise import NoiseModel, propagate, sample_iid_faults, stage_layout, twirl_mask
-from .rng import make_rng
+from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
 
 
@@ -94,7 +97,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    failed: bool  # decoded logical differs from the reference
+    failed: bool  # the decoded logical of the outcome flips is 1
     sector_flips: tuple[int, ...]  # per merge: residual logical misalignment
     merge_noncorrectable: int  # count of wrong merge decodes (= sector flips)
     prep_noncorrectable: int  # blocks whose residual acts as the X logical
@@ -106,7 +109,8 @@ class TrialResult:
 
 
 class ChainSim:
-    """Reusable simulator for one (k, L) chain."""
+    """Reusable simulator for one (k, L) chain. Its trials draw from one
+    shared, re-keyed generator, so one thread at a time may run them."""
 
     def __init__(self, t: TetrahelixCode):
         self.t = t
@@ -117,6 +121,8 @@ class ChainSim:
             for j, pr in enumerate(t.pairings)
         ]
         self.kernel = gf2.kernel_basis(t.code.hx.rows, t.code.n)
+        self._streams = TrialStreams()
+        self._fault_free = TrialResult(False, (0,) * len(t.pairings), 0, 0, 0)
 
     @classmethod
     @functools.cache
@@ -125,6 +131,9 @@ class ChainSim:
         return cls(build_tetrahelix(k, L))
 
     def sample_reference(self, rng) -> int:
+        """A uniformly random noiseless outcome vector, an element of ker(Hx).
+        Trials need none (see the module docstring); tests use it as the
+        reference that the linearity of the decode is checked against."""
         bits = rng.integers(0, 2, len(self.kernel))
         o = 0
         for take, v in zip(bits, self.kernel):
@@ -134,7 +143,9 @@ class ChainSim:
 
     def run_trial(self, model: NoiseModel, seed: int, trial: int) -> TrialResult:
         t = self.t
-        faults = sample_iid_faults(model, self.layout, (seed, trial, 0))
+        faults = sample_iid_faults(model, self.layout, self._streams(seed, trial, 0))
+        if not faults:  # what the decode below gives: every decoder maps 0 to 0
+            return self._fault_free
         prop = propagate(faults, t)
 
         x_diff = prop.layer_x
@@ -170,13 +181,10 @@ class ChainSim:
 
         flips = prop.outcome_flips
         if x_diff:
-            flips ^= twirl_mask(x_diff, make_rng((seed, trial, 1)))
+            flips ^= twirl_mask(x_diff, self._streams(seed, trial, 1))
 
-        o_ref = self.sample_reference(make_rng((seed, trial, 2)))
-        b_ref = self._decode(o_ref)
-        b_noisy = b_ref if flips == 0 else self._decode(o_ref ^ flips)
         return TrialResult(
-            failed=b_noisy != b_ref,
+            failed=flips != 0 and self._decode(flips) != 0,
             sector_flips=tuple(sector),
             merge_noncorrectable=sum(sector),
             prep_noncorrectable=prep_nc,
@@ -258,7 +266,9 @@ def logical_error_rate(
     max_k: int = 8,
     trace_path=None,
 ) -> RateEstimate:
-    """Monte Carlo estimate of P[decoded logical != noiseless reference].
+    """Monte Carlo estimate of P[the decoded logical of a trial's outcome
+    flips is 1], the probability that the noisy outcome decodes differently
+    from the noiseless one (see the module docstring).
 
     trace_path, when given (single-worker runs), writes one JSON line per
     trial with the fault count, per-merge sector flips, and the outcome.
@@ -394,6 +404,15 @@ def _effective_circuit(base: IqpCircuit, assign: dict, alignments) -> IqpCircuit
     return IqpCircuit(base.n, tuple(t), tuple(cs))
 
 
+def _cdf(dist: Distribution) -> np.ndarray:
+    """The normalised CDF that Generator.choice(len(p), p=p) builds from p:
+    cdf.searchsorted(rng.random(), side="right") draws what that call draws,
+    without its per-call validation."""
+    cdf = dist.probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     """Sample the noisy encoded pipeline and estimate TV against ideal p_D.
 
@@ -416,7 +435,8 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     sim = ChainSim.build(k, config.L)
     model = config.noise_model()
 
-    eff_cache: dict[tuple, Distribution] = {}
+    cdfs: dict[tuple, np.ndarray] = {}  # alignments -> CDF of the effective circuit
+    ideal_cdf = _cdf(ideal)
     samples = []
     corrupted_chains = 0
     rng_sample = make_rng((config.seed, 0xE2E))
@@ -438,13 +458,13 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
                 corrupted_chains += 1
         key = tuple(tuple(a) for a in alignments)
         if any(any(a) for a in alignments):
-            if key not in eff_cache:
+            if key not in cdfs:
                 eff = _effective_circuit(circuit, assign, alignments)
-                eff_cache[key] = exact_distribution(eff)
-            dist = eff_cache[key]
+                cdfs[key] = _cdf(exact_distribution(eff))
+            cdf = cdfs[key]
         else:
-            dist = ideal
-        s = int(rng_sample.choice(1 << n, p=dist.probs))
+            cdf = ideal_cdf
+        s = int(cdf.searchsorted(rng_sample.random(), side="right"))
         samples.append(s ^ flips)
 
     tv, lo, hi = empirical_tv(samples, ideal, seed=(config.seed, 0xB007))

@@ -101,11 +101,21 @@ class FaultSet:
         return tuple(loc for loc, _, _ in self.faults)
 
 
+_NO_FAULTS = FaultSet(())
+
+
 def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> FaultSet:
-    """Each location is faulty independently with probability epsilon."""
+    """Each location is faulty independently with probability epsilon.
+
+    `seed` is anything make_rng takes. Labels and twirl coins are drawn only
+    when some location is faulty; the generator serves this one call, so
+    skipping them for a fault-free draw changes no result.
+    """
     rng = make_rng(seed)
     m = layout.size
     u_fault = rng.random(m)
+    if not (u_fault < model.epsilon).any():
+        return _NO_FAULTS
     u_label = rng.random(m)
     twirls = rng.integers(0, 2, m)
     cuts = np.cumsum([model.mix_x, model.mix_z, model.mix_y])

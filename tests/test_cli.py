@@ -112,6 +112,12 @@ def test_mc_rejects_nonpositive_trials(tmp_path, capsys, what, trials):
     assert "trials must be >= 1" in capsys.readouterr().err
 
 
+def test_mc_pipeline_rejects_negative_seed(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "k": 1, "epsilon": 0.02, "trials": 20, "seed": -1}))
+    assert run(["mc", "pipeline", "--config", str(cfg)]) == 2
+
+
 def test_e2e(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

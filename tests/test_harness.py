@@ -7,6 +7,7 @@ import pytest
 from tetriqp import gf2, harness, iqp, surgery
 from tetriqp.harness import ChainSim, ExperimentConfig
 from tetriqp.noise import NoiseModel
+from tetriqp.rng import make_rng
 from tetriqp.surgery import build_tetrahelix
 
 
@@ -25,6 +26,52 @@ def test_trial_determinism():
     model = NoiseModel(0.05)
     for t in range(50):
         assert sim1.run_trial(model, 9, t) == sim2.run_trial(model, 9, t)
+
+
+@pytest.mark.parametrize(
+    "k, L", [(k, 3) for k in (1, 2, 3, 4, 5)] + [(k, 5) for k in (1, 2, 4)]
+)
+def test_noiseless_outcomes_split_to_zero_block_syndromes(k, L):
+    # the finite check behind dropping the reference: every kernel(Hx) vector
+    # splits into blocks without syndromes, so the decode is affine on it
+    sim = ChainSim.build(k, L)
+    for v in sim.kernel:
+        assert not any(surgery.split_frame(sim.t, v).block_syndromes)
+
+
+@pytest.mark.parametrize("k, L", [(1, 3), (2, 3), (4, 3), (2, 5)])
+def test_decode_affine_on_noiseless_outcomes(k, L):
+    sim = ChainSim.build(k, L)
+    rng = np.random.default_rng(k * 10 + L)
+    assert sim._decode(0) == 0
+    for _ in range(60):
+        o = sim.sample_reference(rng)
+        f = int.from_bytes(rng.bytes(sim.t.code.n // 8 + 1), "little") & ((1 << sim.t.code.n) - 1)
+        assert sim._decode(o ^ f) == sim._decode(o) ^ sim._decode(f)
+
+
+def test_failed_equals_reference_comparison(monkeypatch):
+    # the comparison against a noiseless reference drawn from stream
+    # (seed, trial, 2), which trials no longer draw, gives the same failures
+    checked = 0
+    for k, L, eps in ((1, 3, 0.03), (2, 3, 0.03), (4, 3, 0.02), (1, 5, 0.02)):
+        sim = ChainSim.build(k, L)
+        decode, model, seed = sim._decode, NoiseModel(eps), 17 + k
+        reference = []
+
+        def decode_and_compare(flips):
+            o = sim.sample_reference(make_rng((seed, trial, 2)))
+            reference.append(decode(o ^ flips) != decode(o))
+            return decode(flips)
+
+        monkeypatch.setattr(sim, "_decode", decode_and_compare)
+        for trial in range(150):
+            reference.clear()
+            res = sim.run_trial(model, seed, trial)
+            assert res.failed == (reference == [True])
+            checked += bool(reference)
+        monkeypatch.undo()
+    assert checked > 200
 
 
 def test_zero_noise_never_fails():
@@ -129,6 +176,16 @@ def test_end_to_end_zero_noise():
         null.append(0.5 * float(np.abs(counts / cfg.trials - ideal.probs).sum()))
     assert res.tv <= np.quantile(null, 0.99) + 1e-9
     assert res.eps_bar == 0.0
+
+
+def test_cdf_draw_equals_choice():
+    # end_to_end draws through the CDF that Generator.choice builds from p
+    for seed in range(4):
+        dist = iqp.exact_distribution(iqp.sample_circuit(4, 1.0, seed))
+        cdf = harness._cdf(dist)
+        a, b = make_rng((seed, 1)), make_rng((seed, 1))
+        for _ in range(2000):
+            assert int(cdf.searchsorted(a.random(), side="right")) == int(b.choice(16, p=dist.probs))
 
 
 def test_end_to_end_noise_increases_tv():
