@@ -205,6 +205,7 @@ def cmd_mc(args) -> int:
             cfg.trials,
             cfg.seed,
             workers=args.workers or cfg.workers,
+            noise=cfg.noise_model(),
         )
         out = args.out or "scan.csv"
         res.to_csv(out)

@@ -46,7 +46,6 @@ class BlockDecoder:
         code = block.code
         self.faces = gf2.SyndromeDecoder.of(code.hz.rows, code.n, meas_cols=True)
         self.cells = gf2.SyndromeDecoder.of(code.hx.rows, code.n)
-        self.lx = code.logical_x
         self.lz = code.logical_z
 
     def decode_prep(self, syndrome: int) -> tuple[int, int]:
@@ -57,12 +56,3 @@ class BlockDecoder:
         """Minimum-weight Z-error hypothesis for violated cells."""
         zhat, _ = self.cells.decode(syndrome)
         return zhat
-
-
-def decode_tetrahedral(
-    block: Block, outcomes: int, decoder: BlockDecoder | None = None
-) -> int:
-    """Logical X-bar value from single-qubit X outcomes of one block."""
-    dec = decoder or BlockDecoder(block)
-    zhat = dec.decode_cells(dec.cells.syndrome(outcomes))
-    return ((outcomes & dec.lx).bit_count() + (zhat & dec.lx).bit_count()) & 1

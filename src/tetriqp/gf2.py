@@ -82,9 +82,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row_weight_max(self) -> int:
-        return max((r.bit_count() for r in self.rows), default=0)
-
     def mul_vec(self, x: int) -> int:
         """Matrix-vector product M @ x over GF(2), returned as a bit row over nrows."""
         out = 0

@@ -16,7 +16,7 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,9 @@ from .iqp import (
     empirical_tv,
     sample_circuit,
 )
-from .noise import NoiseModel, propagate, sample_iid_faults, stage_layout, twirl_mask
+from .noise import (
+    NoiseModel, PropagationResult, propagate, sample_iid_faults, stage_layout, twirl_mask,
+)
 from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
 
@@ -49,7 +51,6 @@ def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float,
 @dataclass(frozen=True)
 class ExperimentConfig:
     n: int = 4  # logical qubits (IQP width)
-    delta: float = 0.05  # target TV precision
     epsilon: float = 0.01
     gamma: float = 1.0
     trials: int = 1000
@@ -60,10 +61,6 @@ class ExperimentConfig:
     max_l: int = 7
     max_k: int = 8
     max_statevector: int = 20
-    c_k: float = 1.0
-    c_l: float = 1.0
-    c_r: float = 1.0
-    eps_th: float | None = None
     mix_x: float = 0.25
     mix_z: float = 0.25
     mix_y: float = 0.25
@@ -84,6 +81,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         d = json.loads(Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ValueError(f"config {path} is not a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"config {path} has unknown keys: {', '.join(unknown)}")
         for key in ("Ls", "ks", "epsilons"):
             if key in d:
                 d[key] = tuple(d[key])
@@ -142,12 +144,33 @@ class ChainSim:
         return o
 
     def run_trial(self, model: NoiseModel, seed: int, trial: int) -> TrialResult:
-        t = self.t
+        """One sampled trial: faults from stream (seed, trial, 0), then
+        `correct`, then twirl coins from stream (seed, trial, 1) for the X
+        pattern crossing the diagonal layer, then the final decode."""
         faults = sample_iid_faults(model, self.layout, self._streams(seed, trial, 0))
-        if not faults:  # what the decode below gives: every decoder maps 0 to 0
+        if not faults:  # what correct and _decode give: every decoder maps 0 to 0
             return self._fault_free
-        prop = propagate(faults, t)
+        x_diff, flips, sector, prep_nc = self.correct(propagate(faults, self.t))
+        if x_diff:
+            flips ^= twirl_mask(x_diff, self._streams(seed, trial, 1))
+        return TrialResult(
+            failed=flips != 0 and self._decode(flips) != 0,
+            sector_flips=sector,
+            merge_noncorrectable=sum(sector),
+            prep_noncorrectable=prep_nc,
+            n_faults=len(faults),
+        )
 
+    def correct(self, prop: PropagationResult) -> tuple[int, int, tuple[int, ...], int]:
+        """The deterministic part of a trial: decode each preparation and
+        merge of the propagated faults and apply the fixes.
+
+        Returns (x_diff, outcome_flips, sector, prep_nc): the X pattern that
+        crosses the diagonal layer (still to be twirled), the outcome flips
+        before the twirl, the per-merge residual logical misalignments and
+        the number of blocks whose preparation residual acts as the X logical.
+        """
+        t = self.t
         x_diff = prop.layer_x
         prep_nc = 0
         residuals = []
@@ -178,18 +201,7 @@ class ChainSim:
             if xhat:
                 x_diff ^= t.block_logical_x[j]
             sector.append(xhat ^ xtrue)
-
-        flips = prop.outcome_flips
-        if x_diff:
-            flips ^= twirl_mask(x_diff, self._streams(seed, trial, 1))
-
-        return TrialResult(
-            failed=flips != 0 and self._decode(flips) != 0,
-            sector_flips=tuple(sector),
-            merge_noncorrectable=sum(sector),
-            prep_noncorrectable=prep_nc,
-            n_faults=len(faults),
-        )
+        return x_diff, prop.outcome_flips, tuple(sector), prep_nc
 
     def _decode(self, outcomes: int) -> int:
         res = surgery.split_frame(self.t, outcomes)
@@ -317,10 +329,12 @@ class ScanResult:
 
 
 def threshold_scan(
-    Ls, ks, epsilons, trials: int, seed: int, workers: int = 1
+    Ls, ks, epsilons, trials: int, seed: int, workers: int = 1,
+    noise: NoiseModel = NoiseModel(0.0),
 ) -> ScanResult:
-    """Grid Monte Carlo; reports the empirical crossing of the smallest and
-    largest L curves as the threshold estimate."""
+    """Grid Monte Carlo with the channel mix of `noise` at every epsilon;
+    reports the empirical crossing of the smallest and largest L curves as
+    the threshold estimate."""
     if not Ls or not ks or not epsilons:
         raise ValueError("grids must be nonempty")
     rows = []
@@ -329,9 +343,8 @@ def threshold_scan(
         for L in Ls:
             for idx_e, eps in enumerate(epsilons):
                 sub_seed = seed + 7919 * (idx_e + 1000 * (L + 100 * k))
-                est = logical_error_rate(
-                    L, k, NoiseModel(eps), trials, sub_seed, workers=workers
-                )
+                model = replace(noise, epsilon=eps)
+                est = logical_error_rate(L, k, model, trials, sub_seed, workers=workers)
                 rows.append(est)
                 by_key[(k, L, eps)] = est
     crossing = None
@@ -493,19 +506,14 @@ class OverheadPlan:
     extrapolated: bool
 
 
+@functools.cache
 def _block_size_fit() -> tuple[float, float]:
-    """Least-squares a*L^3 + b fit of built colex sizes (cached)."""
-    global _FIT
-    if _FIT is None:
-        Ls = np.array([3.0, 5.0, 7.0])
-        ns = np.array([float(build_tetrahedral_colex(int(l)).n) for l in Ls])
-        A = np.stack([Ls**3, np.ones_like(Ls)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, ns, rcond=None)
-        _FIT = (float(coef[0]), float(coef[1]))
-    return _FIT
-
-
-_FIT = None
+    """Least-squares a*L^3 + b fit of built colex sizes."""
+    Ls = np.array([3.0, 5.0, 7.0])
+    ns = np.array([float(build_tetrahedral_colex(int(l)).n) for l in Ls])
+    A = np.stack([Ls**3, np.ones_like(Ls)], axis=1)
+    coef, *_ = np.linalg.lstsq(A, ns, rcond=None)
+    return float(coef[0]), float(coef[1])
 
 
 def overhead(
@@ -561,9 +569,8 @@ class PrepScanRow:
 def prep_scan(L: int, model: NoiseModel, trials: int, seed: int) -> PrepScanRow:
     """Estimate the noncorrectable preparation and merge rates empirically,
     from the two preparations and the merge of k=2 chain trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    _, merge_nc, tetra_nc, _ = _count_chunk((L, 2, model, seed, 0, trials))
+    est = logical_error_rate(L, 2, model, trials, seed)
+    tetra_nc, merge_nc = est.prep_noncorrectable, est.merge_noncorrectable
     t_lo, t_hi = wilson_interval(tetra_nc, 2 * trials)
     m_lo, m_hi = wilson_interval(merge_nc, trials)
     return PrepScanRow(

@@ -14,6 +14,7 @@ propagation itself is deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,15 +37,11 @@ class NoiseModel:
         if any(m < 0 for m in mix) or abs(sum(mix) - 1.0) > 1e-9:
             raise ValueError("channel mix must be nonnegative and sum to 1")
 
-    @classmethod
-    def from_config(cls, d: dict) -> "NoiseModel":
-        return cls(
-            float(d["epsilon"]),
-            float(d.get("mix_x", 0.25)),
-            float(d.get("mix_z", 0.25)),
-            float(d.get("mix_y", 0.25)),
-            float(d.get("mix_meas", 0.25)),
-        )
+    @cached_property
+    def cuts(self) -> np.ndarray:
+        """Cumulative X, Z, Y shares: the label of a uniform draw u is
+        _LABELS[cuts.searchsorted(u, side="right")]."""
+        return np.cumsum([self.mix_x, self.mix_z, self.mix_y])
 
 
 # location kinds
@@ -113,17 +110,18 @@ def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> FaultSet:
     """
     rng = make_rng(seed)
     m = layout.size
-    u_fault = rng.random(m)
-    if not (u_fault < model.epsilon).any():
+    faulty = rng.random(m) < model.epsilon
+    if not faulty.any():
         return _NO_FAULTS
     u_label = rng.random(m)
     twirls = rng.integers(0, 2, m)
-    cuts = np.cumsum([model.mix_x, model.mix_z, model.mix_y])
-    faults = []
-    for idx in np.flatnonzero(u_fault < model.epsilon):
-        label = _LABELS[int(np.searchsorted(cuts, u_label[idx], side="right"))]
-        faults.append((layout.locations[idx], label, int(twirls[idx])))
-    return FaultSet(tuple(faults))
+    idx = np.flatnonzero(faulty)
+    labels = model.cuts.searchsorted(u_label[idx], side="right")
+    locs = layout.locations
+    return FaultSet(tuple(
+        (locs[i], _LABELS[lab], tw)
+        for i, lab, tw in zip(idx.tolist(), labels.tolist(), twirls[idx].tolist())
+    ))
 
 
 @dataclass

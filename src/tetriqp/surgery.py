@@ -15,6 +15,7 @@ bringing every block back near its own tetrahedral code space.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,15 +63,16 @@ class TetrahelixCode:
     def L(self) -> int:
         return self.blocks[0].colex.L
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.code.n for b in self.blocks)
+    @functools.cached_property
+    def block_offsets(self) -> tuple[int, ...]:
+        """Global index of each block's first qubit."""
+        return tuple(itertools.accumulate((b.code.n for b in self.blocks[:-1]), initial=0))
 
     def qubit(self, block: int, local: int) -> int:
-        return sum(self.block_sizes[:block]) + local
+        return self.block_offsets[block] + local
 
     def block_offset(self, block: int) -> int:
-        return sum(self.block_sizes[:block])
+        return self.block_offsets[block]
 
     def block_mask(self, block: int) -> int:
         m = self.blocks[block].code.n

@@ -13,10 +13,10 @@ import pytest
 
 from tetriqp import colex as cx
 from tetriqp import csscode as cc
-from tetriqp import decoder as dc
 from tetriqp import gf2, harness, iqp
 from tetriqp.harness import ChainSim, ExperimentConfig
-from tetriqp.noise import NoiseModel
+from tetriqp.noise import LAYER, PREP_DATA, FaultSet, NoiseModel, propagate
+from tetriqp.rng import make_rng
 from tetriqp.surgery import Block, build_tetrahelix
 
 
@@ -185,75 +185,55 @@ def test_criterion_7_exponential_sum_identity():
 
 
 def _single_fault_cases(sim):
-    """Deterministic single-fault pipeline runs; yields (tag, failed)."""
-    t = sim.t
-    rng = random.Random(808)
+    """Every single fault of the chain's layout, run through the simulator's
+    own correction; yields (fault, failed).
 
-    def ref_outcome():
-        o = 0
-        for v in sim.kernel:
-            if rng.getrandbits(1):
-                o ^= v
-        return o
-
-    def run_case(tag, flips=0, x_diff=0, prep=None, pairflip=None):
-        residuals = [0] * t.k
-        x_total = x_diff
-        if prep is not None:
-            b, e_d, e_m = prep
-            dec = sim.block_decoders[b]
-            syn = dec.faces.syndrome(e_d) ^ e_m
-            xhat, _ = dec.decode_prep(syn)
-            residuals[b] = e_d ^ xhat
-            x_total ^= residuals[b] << t.block_offset(b)
-        for j, pr in enumerate(t.pairings):
-            word = pairflip[1] if pairflip and j == pairflip[0] else 0
-            for p, (vl, vr) in enumerate(pr.pairs):
-                bit = (residuals[j] >> vl & 1) ^ (residuals[j + 1] >> vr & 1)
-                word ^= bit << p
-            xhat, _ = sim.facet_decoders[j].decode(word)
-            if xhat:
-                x_total ^= t.block_logical_x[j]
-        supp = gf2.support(x_total)
-        if len(supp) <= 5:
-            twirl_sets = [
-                sum(1 << s for s in combo)
-                for r in range(len(supp) + 1)
-                for combo in itertools.combinations(supp, r)
-            ]
-        else:
-            twirl_sets = [0, sum(1 << s for s in supp)]
-        for tw in twirl_sets:
-            f_total = flips ^ tw
-            for o in (0, ref_outcome(), ref_outcome(), ref_outcome()):
-                if sim._decode(o ^ f_total) != sim._decode(o):
-                    return tag, True
-        return tag, False
-
-    m = t.blocks[0].code.n
-    nf = len(t.blocks[0].colex.faces)
-    for b in range(t.k):
-        for q in range(m):
-            yield run_case(("prep_data_X", b, q), prep=(b, 1 << q, 0))
-        for f in range(nf):
-            yield run_case(("prep_meas", b, f), prep=(b, 0, 1 << f))
-    for j in range(t.k - 1):
-        for p in range(len(t.pairings[j].pairs)):
-            yield run_case(("pair_meas", j, p), pairflip=(j, 1 << p))
-    for q in range(t.code.n):
-        yield run_case(("outcome_flip", q), flips=1 << q)
-        yield run_case(("layer_X", q), x_diff=1 << q)
+    Each location takes every label that acts there (X/Z/Y on data, a flip on
+    measurements) and, at the diagonal layer, both twirl bits of an X or Y.
+    A fault fails when it leaves a merge misaligned or a preparation residual
+    acting as the X logical, or when, for some twirl subset of the X pattern
+    crossing the layer, it changes the decode of a noiseless outcome.
+    """
+    rng = make_rng(808)
+    for loc in sim.layout.locations:
+        kind = loc[0]
+        for label in ("X", "Z", "Y") if kind in (PREP_DATA, LAYER) else ("flip",):
+            for twirl in (0, 1) if kind == LAYER and label != "Z" else (0,):
+                fault = (loc, label, twirl)
+                x_diff, flips, sector, prep_nc = sim.correct(
+                    propagate(FaultSet((fault,)), sim.t)
+                )
+                supp = gf2.support(x_diff)
+                if len(supp) <= 5:
+                    twirl_sets = [
+                        sum(1 << s for s in combo)
+                        for r in range(len(supp) + 1)
+                        for combo in itertools.combinations(supp, r)
+                    ]
+                else:
+                    twirl_sets = [0, x_diff]
+                failed = any(sector) or prep_nc > 0 or any(
+                    sim._decode(o ^ flips ^ tw) != sim._decode(o)
+                    for tw in twirl_sets
+                    for o in (0, *(sim.sample_reference(rng) for _ in range(3)))
+                )
+                yield fault, failed
 
 
 def test_criterion_8_single_fault_tolerance():
     t0 = time.time()
-    sim = ChainSim.build(2, 3)
-    cases = list(_single_fault_cases(sim))
-    failures = [tag for tag, failed in cases if failed]
-    assert not failures, failures[:10]
-    assert len(cases) >= 100  # "hundreds of cases" counting twirl branches
+    sizes = {}
+    for k, L in ((2, 3), (3, 3), (1, 5), (2, 5)):
+        sim = ChainSim.build(k, L)
+        cases = list(_single_fault_cases(sim))
+        failures = [fault for fault, failed in cases if failed]
+        assert not failures, (k, L, failures[:10])
+        assert {loc for (loc, _, _), _ in cases} == set(sim.layout.locations)
+        sizes[(k, L)] = len(cases)
+    assert sizes[(2, 3)] >= 313  # every label and layer twirl bit of the k=2, L=3 chain
     assert time.time() - t0 < 300
-    _report(8, f"{len(cases)} fault locations (plus twirl branches), 0 failures", t0)
+    detail = ", ".join(f"{n} at (k={k}, L={L})" for (k, L), n in sizes.items())
+    _report(8, f"single faults, 0 failures: {detail}", t0)
 
 
 def test_criterion_9_single_shot_suppression():

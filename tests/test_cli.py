@@ -94,6 +94,19 @@ def test_mc_scan(tmp_path):
     assert out.read_text().startswith("L,k,epsilon")
 
 
+def test_mc_scan_uses_the_config_mix(tmp_path):
+    csvs = []
+    for mix in ({}, {"mix_x": 0.0, "mix_z": 0.0, "mix_y": 0.0, "mix_meas": 1.0}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "Ls": [3], "ks": [1], "epsilons": [0.05], "trials": 300, "seed": 2, **mix,
+        }))
+        out = tmp_path / "scan.csv"
+        assert run(["mc", "scan", "--config", str(cfg), "--out", str(out)]) == 0
+        csvs.append(out.read_text())
+    assert csvs[0] != csvs[1]
+
+
 def test_mc_prep(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"Ls": [3], "epsilon": 0.02, "trials": 100, "seed": 2}))
@@ -116,6 +129,13 @@ def test_mc_pipeline_rejects_negative_seed(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 3, "k": 1, "epsilon": 0.02, "trials": 20, "seed": -1}))
     assert run(["mc", "pipeline", "--config", str(cfg)]) == 2
+
+
+def test_config_unknown_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "trials": 20, "seed": 2, "delta": 0.05, "c_k": 1}))
+    assert run(["mc", "pipeline", "--config", str(cfg)]) == 2
+    assert "unknown keys: c_k, delta" in capsys.readouterr().err
 
 
 def test_e2e(tmp_path, capsys):

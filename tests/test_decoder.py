@@ -5,9 +5,9 @@ import pytest
 
 from tetriqp import colex as cx
 from tetriqp import decoder as dc
-from tetriqp import gf2, harness
+from tetriqp import gf2
 from tetriqp.harness import ChainSim
-from tetriqp.noise import FaultSet, NoiseModel
+from tetriqp.noise import FaultSet, NoiseModel, propagate
 from tetriqp.surgery import Block, build_tetrahelix
 
 
@@ -29,6 +29,11 @@ def chain2(block3):
 @pytest.fixture(scope="module")
 def sim2(chain2):
     return ChainSim(chain2)
+
+
+@pytest.fixture(scope="module")
+def sim1():
+    return ChainSim.build(1, 3)
 
 
 @pytest.fixture(scope="module")
@@ -198,7 +203,6 @@ def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
     vl, _ = chain2.pairings[0].pairs[2]
     fault = FaultSet(((("prep_data", 0, vl), "X", 0),))
-    monkeypatch.setattr(harness, "sample_iid_faults", lambda *args: fault)
     # an idle preparation decoder leaves the fault as the residual
     monkeypatch.setattr(dc.BlockDecoder, "decode_prep", lambda self, syndrome: (0, 0))
     words = []
@@ -209,11 +213,11 @@ def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
         return decode(self, word)
 
     monkeypatch.setattr(dc.FacetDecoder, "decode", recording_decode)
-    sim2.run_trial(NoiseModel(0.0), 3, 0)
+    sim2.correct(propagate(fault, chain2))
     assert words[0] == 1 << 2
 
 
-def test_decode_tetrahedral_noiseless(block3):
+def test_decode_tetrahedral_noiseless(sim1, block3):
     rng = random.Random(12)
     kb = gf2.kernel_basis(block3.code.hx.rows, 15)
     for _ in range(30):
@@ -222,10 +226,10 @@ def test_decode_tetrahedral_noiseless(block3):
             if rng.getrandbits(1):
                 o ^= v
         want = (o & block3.code.logical_x).bit_count() & 1
-        assert dc.decode_tetrahedral(block3, o) == want
+        assert sim1._decode(o) == want
 
 
-def test_decode_tetrahedral_single_flip(block3):
+def test_decode_tetrahedral_single_flip(sim1, block3):
     rng = random.Random(13)
     kb = gf2.kernel_basis(block3.code.hx.rows, 15)
     for q in range(15):
@@ -234,14 +238,14 @@ def test_decode_tetrahedral_single_flip(block3):
             if rng.getrandbits(1):
                 o ^= v
         want = (o & block3.code.logical_x).bit_count() & 1
-        assert dc.decode_tetrahedral(block3, o ^ (1 << q)) == want
+        assert sim1._decode(o ^ (1 << q)) == want
 
 
-def test_decode_tetrahedral_weight2_fails_sometimes(block3):
+def test_decode_tetrahedral_weight2_fails_sometimes(sim1, block3):
     fails = 0
     for a, b in itertools.combinations(range(15), 2):
         e = (1 << a) | (1 << b)
-        if dc.decode_tetrahedral(block3, e) != (e & block3.code.logical_x).bit_count() & 1:
+        if sim1._decode(e) != (e & block3.code.logical_x).bit_count() & 1:
             fails += 1
     assert fails > 0
 
@@ -311,7 +315,7 @@ def test_merge_flags_zero_noise_and_noisy(sim2):
     assert flagged > 0
 
 
-def test_transversal_t_statevector_through_decoder(block3):
+def test_transversal_t_statevector_through_decoder(sim1, block3):
     """Exact check of the encoded T-gate through the whole stack.
 
     The encoded plus state is the uniform superposition over kernel(Hz);
@@ -344,6 +348,6 @@ def test_transversal_t_statevector_through_decoder(block3):
         if p < 1e-18:
             continue
         norm += p
-        p_logical[dc.decode_tetrahedral(block3, o)] += p
+        p_logical[sim1._decode(o)] += p
     p1 = p_logical[1] / norm
     assert p1 == pytest.approx(math.sin(math.pi / 8) ** 2, abs=1e-9)
