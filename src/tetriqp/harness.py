@@ -1,10 +1,16 @@
 """Monte Carlo orchestration: logical error rates, threshold scans,
 end-to-end total-variation experiments, and the overhead calculator.
 
-Every trial derives its own random streams from (seed, trial, tag), so
-results are bit-identical for a fixed seed no matter how trials are chunked
-across workers. A trial fails when the decoded logical of its noisy outcome
-flips f is 1. That is the event that the noisy outcome decodes differently
+Every trial draws from its own Philox counter streams (seed, trial, tag)
+(see `rng`). The seed is an int or a spawn tuple: (seed, qubit) for the
+chains of `end_to_end`, (seed, k, L, epsilon index) for the points of
+`threshold_scan`. Results are bit-identical for a fixed seed however trials
+are chunked across workers, and distinct runs, qubits and grid points never
+share a stream. The twirl of the X pattern crossing the diagonal layer is
+drawn by `ChainSim.run_trial`, one coin per qubit, and nowhere else.
+
+A trial fails when the decoded logical of its noisy outcome flips f is 1.
+That is the event that the noisy outcome decodes differently
 from the noiseless one, whatever noiseless outcome o the trial had: o lies in
 ker(Hx) and splits into blocks with zero syndromes, so every decoder sees the
 same syndromes for o ^ f as for f, and decode(o ^ f) = decode(o) ^ decode(f).
@@ -15,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -36,6 +43,13 @@ from .noise import (
 )
 from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
+
+
+def _is_a(value, kind) -> bool:
+    """Whether a config value is of `kind`: an int passes for a float, and
+    a bool is neither."""
+    number = numbers.Integral if kind is int else numbers.Real
+    return not isinstance(value, bool) and isinstance(value, number)
 
 
 def wilson_interval(failures: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -69,6 +83,28 @@ class ExperimentConfig:
     ks: tuple = (1,)
     epsilons: tuple = (0.004, 0.01, 0.02, 0.05, 0.1, 0.2)
 
+    def __post_init__(self):
+        """Reject a bad value up front: every field has its default's type
+        (an int passes for a float, a bool for nothing), every int is >= 1
+        but the seed, which is >= 0, the epsilon grid rises within [0, 1]
+        and the channel mix is valid."""
+        for f in fields(self):
+            value, default = getattr(self, f.name), f.default
+            if isinstance(default, tuple):
+                kind, items = type(default[0]), value if type(value) is tuple else ()
+                want = f"a nonempty tuple of {kind.__name__}"
+            else:
+                kind, items, want = type(default), (value,), type(default).__name__
+            if not items or not all(_is_a(v, kind) for v in items):
+                raise ValueError(f"config field {f.name} must be {want}, got {value!r}")
+            low = 0 if f.name == "seed" else 1
+            if kind is int and min(items) < low:
+                raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        eps = self.epsilons
+        if list(eps) != sorted(eps) or not 0 <= eps[0] <= eps[-1] <= 1:
+            raise ValueError(f"epsilons must rise within [0, 1], got {eps!r}")
+        self.noise_model()
+
     def noise_model(self, epsilon=None) -> NoiseModel:
         return NoiseModel(
             self.epsilon if epsilon is None else epsilon,
@@ -87,7 +123,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"config {path} has unknown keys: {', '.join(unknown)}")
         for key in ("Ls", "ks", "epsilons"):
-            if key in d:
+            if isinstance(d.get(key), list):
                 d[key] = tuple(d[key])
         return cls(**d)
 
@@ -143,10 +179,11 @@ class ChainSim:
                 o ^= v
         return o
 
-    def run_trial(self, model: NoiseModel, seed: int, trial: int) -> TrialResult:
+    def run_trial(self, model: NoiseModel, seed, trial: int) -> TrialResult:
         """One sampled trial: faults from stream (seed, trial, 0), then
-        `correct`, then twirl coins from stream (seed, trial, 1) for the X
-        pattern crossing the diagonal layer, then the final decode."""
+        `correct`, then one twirl coin per qubit of the X pattern crossing
+        the diagonal layer from stream (seed, trial, 1), then the final
+        decode. `seed` is an int or a spawn tuple (see `rng`)."""
         faults = sample_iid_faults(model, self.layout, self._streams(seed, trial, 0))
         if not faults:  # what correct and _decode give: every decoder maps 0 to 0
             return self._fault_free
@@ -272,7 +309,7 @@ def logical_error_rate(
     k: int,
     model: NoiseModel,
     trials: int,
-    seed: int,
+    seed,
     workers: int = 1,
     max_l: int = 7,
     max_k: int = 8,
@@ -280,7 +317,8 @@ def logical_error_rate(
 ) -> RateEstimate:
     """Monte Carlo estimate of P[the decoded logical of a trial's outcome
     flips is 1], the probability that the noisy outcome decodes differently
-    from the noiseless one (see the module docstring).
+    from the noiseless one (see the module docstring). `seed` is an int
+    or a spawn tuple; trial t draws from streams (seed, t, tag).
 
     trace_path, when given (single-worker runs), writes one JSON line per
     trial with the fault count, per-merge sector flips, and the outcome.
@@ -332,9 +370,10 @@ def threshold_scan(
     Ls, ks, epsilons, trials: int, seed: int, workers: int = 1,
     noise: NoiseModel = NoiseModel(0.0),
 ) -> ScanResult:
-    """Grid Monte Carlo with the channel mix of `noise` at every epsilon;
-    reports the empirical crossing of the smallest and largest L curves as
-    the threshold estimate."""
+    """Grid Monte Carlo with the channel mix of `noise` at every epsilon,
+    point (k, L, epsilons[i]) under the spawn key (seed, k, L, i); reports
+    the empirical crossing of the smallest and largest L curves as the
+    threshold estimate."""
     if not Ls or not ks or not epsilons:
         raise ValueError("grids must be nonempty")
     rows = []
@@ -342,9 +381,8 @@ def threshold_scan(
     for k in ks:
         for L in Ls:
             for idx_e, eps in enumerate(epsilons):
-                sub_seed = seed + 7919 * (idx_e + 1000 * (L + 100 * k))
                 model = replace(noise, epsilon=eps)
-                est = logical_error_rate(L, k, model, trials, sub_seed, workers=workers)
+                est = logical_error_rate(L, k, model, trials, (seed, k, L, idx_e), workers=workers)
                 rows.append(est)
                 by_key[(k, L, eps)] = est
     crossing = None
@@ -429,10 +467,11 @@ def _cdf(dist: Distribution) -> np.ndarray:
 def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     """Sample the noisy encoded pipeline and estimate TV against ideal p_D.
 
-    Per trial, every logical qubit runs one chain (prepare, merge, ideal
-    diagonal layer with injected faults, measure, decode). Sector errors from
-    wrong merge fixes rotate the effective logical circuit; decode errors
-    flip sampled bits.
+    Per trial, every logical qubit q runs one chain (prepare, merge, ideal
+    diagonal layer with injected faults, measure, decode) under the spawn
+    key (seed, q). Sector errors from wrong merge fixes rotate the effective
+    logical circuit; decode errors flip sampled bits. Outcomes are drawn
+    from make_rng((seed, 0xE2E)), the bootstrap from (seed, 0xB007).
     """
     from .iqp import schedule_depth
 
@@ -457,7 +496,7 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
         flips = 0
         alignments = []
         for q in range(n):
-            res = sim.run_trial(model, config.seed + 1 + q, trial)
+            res = sim.run_trial(model, (config.seed, q), trial)
             if res.failed:
                 flips |= 1 << q
             align = []

@@ -7,8 +7,9 @@ measurement location, or a flip label on a data location, acts trivially.
 
 X-type faults sitting at the depth-1 diagonal layer do not propagate as
 Pauli; they are replaced by X plus a Z with probability one half (Pauli
-twirl). The coin is drawn by the sampler and stored in the fault set, so
-propagation itself is deterministic.
+twirl). Propagation is deterministic and leaves that coin to the trial: it
+reports the X pattern crossing the layer, and ChainSim.run_trial draws one
+coin per qubit of it with `twirl_mask`.
 """
 
 from __future__ import annotations
@@ -87,15 +88,15 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
 
 @dataclass(frozen=True)
 class FaultSet:
-    """Sampled faults: (location, label, twirl bit) per faulty location."""
+    """Sampled faults: (location, label) per faulty location."""
 
-    faults: tuple[tuple[tuple, str, int], ...]
+    faults: tuple[tuple[tuple, str], ...]
 
     def __len__(self):
         return len(self.faults)
 
     def locations(self):
-        return tuple(loc for loc, _, _ in self.faults)
+        return tuple(loc for loc, _ in self.faults)
 
 
 _NO_FAULTS = FaultSet(())
@@ -104,9 +105,9 @@ _NO_FAULTS = FaultSet(())
 def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> FaultSet:
     """Each location is faulty independently with probability epsilon.
 
-    `seed` is anything make_rng takes. Labels and twirl coins are drawn only
-    when some location is faulty; the generator serves this one call, so
-    skipping them for a fault-free draw changes no result.
+    `seed` is anything make_rng takes. Labels are drawn only when some
+    location is faulty; the generator serves this one call, so skipping them
+    for a fault-free draw changes no result.
     """
     rng = make_rng(seed)
     m = layout.size
@@ -114,13 +115,11 @@ def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> FaultSet:
     if not faulty.any():
         return _NO_FAULTS
     u_label = rng.random(m)
-    twirls = rng.integers(0, 2, m)
     idx = np.flatnonzero(faulty)
     labels = model.cuts.searchsorted(u_label[idx], side="right")
     locs = layout.locations
     return FaultSet(tuple(
-        (locs[i], _LABELS[lab], tw)
-        for i, lab, tw in zip(idx.tolist(), labels.tolist(), twirls[idx].tolist())
+        (locs[i], _LABELS[lab]) for i, lab in zip(idx.tolist(), labels.tolist())
     ))
 
 
@@ -135,7 +134,7 @@ class PropagationResult:
     prep_data_x: dict = field(default_factory=dict)  # block -> X pattern
     prep_meas: dict = field(default_factory=dict)  # block -> face flips
     pair_flips: dict = field(default_factory=dict)  # merge -> pair flips
-    layer_x: int = 0  # global X pattern at the layer (twirl already applied)
+    layer_x: int = 0  # global X pattern at the layer (run_trial twirls it)
     outcome_flips: int = 0  # global Z-equivalent flips on final outcomes
 
     def xor(self, other: "PropagationResult") -> "PropagationResult":
@@ -156,12 +155,12 @@ def propagate(faults: FaultSet, t: TetrahelixCode) -> PropagationResult:
 
     Z faults commute with the diagonal layer and flip one outcome bit. X
     faults before the layer enter the preparation round; at the layer they
-    contribute X plus the sampled twirl Z; after the layer they leave
+    join the X pattern that the trial twirls; after the layer they leave
     Hadamard-basis outcomes unchanged. Measurement flips stay local to their
     round.
     """
     res = PropagationResult()
-    for loc, label, twirl in faults.faults:
+    for loc, label in faults.faults:
         kind = loc[0]
         if kind == PREP_DATA:
             _, b, q = loc
@@ -182,8 +181,6 @@ def propagate(faults: FaultSet, t: TetrahelixCode) -> PropagationResult:
             _, q = loc
             if label in ("X", "Y"):
                 res.layer_x ^= 1 << q
-                if twirl:
-                    res.outcome_flips ^= 1 << q
             if label in ("Z", "Y"):
                 res.outcome_flips ^= 1 << q
         elif kind == FINAL_MEAS:

@@ -138,6 +138,22 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "unknown keys: c_k, delta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad, named", [
+    ({"trials": "100"}, "trials"), ({"trials": 2.0}, "trials"), ({"seed": True}, "seed"),
+    ({"workers": 0}, "workers"), ({"n": -1}, "n"), ({"epsilon": "0.1"}, "epsilon"),
+    ({"epsilon": 1.5}, "epsilon"), ({"Ls": 3}, "Ls"), ({"ks": []}, "ks"),
+    ({"ks": [1, "2"]}, "ks"), ({"epsilons": [0.05, 0.01]}, "epsilons"),
+    ({"epsilons": [0.01, 1.5]}, "epsilons"), ({"mix_meas": 0.5}, "mix"),
+])
+def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
+    # a bad value is bad input (exit 2, the field named), not a traceback
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, **bad}))
+    for cmd in (["mc", "pipeline"], ["mc", "scan"], ["e2e"]):
+        assert run([*cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_e2e(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

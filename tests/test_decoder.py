@@ -202,7 +202,7 @@ def test_merge_two_flips_can_err(fc3):
 def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
     vl, _ = chain2.pairings[0].pairs[2]
-    fault = FaultSet(((("prep_data", 0, vl), "X", 0),))
+    fault = FaultSet(((("prep_data", 0, vl), "X"),))
     # an idle preparation decoder leaves the fault as the residual
     monkeypatch.setattr(dc.BlockDecoder, "decode_prep", lambda self, syndrome: (0, 0))
     words = []

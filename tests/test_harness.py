@@ -7,7 +7,7 @@ import pytest
 from tetriqp import gf2, harness, iqp, surgery
 from tetriqp.harness import ChainSim, ExperimentConfig
 from tetriqp.noise import NoiseModel
-from tetriqp.rng import make_rng
+from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
 
 
@@ -186,6 +186,44 @@ def test_cdf_draw_equals_choice():
         a, b = make_rng((seed, 1)), make_rng((seed, 1))
         for _ in range(2000):
             assert int(cdf.searchsorted(a.random(), side="right")) == int(b.choice(16, p=dist.probs))
+
+
+def test_criterion_11_runs_share_no_stream(monkeypatch):
+    # criterion 11's three runs: no two trial streams (faults, tag 0, and
+    # twirls, tag 1, of every qubit's chain) and none of the circuit,
+    # outcome (0xE2E) and bootstrap (0xB007) streams start at one Philox
+    # (key, counter)
+    def start(gen):
+        state = gen.bit_generator.state["state"]
+        return tuple(state["key"].tolist()), tuple(state["counter"].tolist())
+
+    chain_trials = []
+
+    def record_trial(self, model, seed, trial):
+        chain_trials.append((seed, trial))
+        return self._fault_free
+
+    starts = []
+
+    def recording(make):
+        def wrapped(seed):
+            gen = make(seed)
+            starts.append(start(gen))
+            return gen
+        return wrapped
+
+    monkeypatch.setattr(ChainSim, "run_trial", record_trial)
+    monkeypatch.setattr(harness, "make_rng", recording(harness.make_rng))
+    monkeypatch.setattr(iqp, "make_rng", recording(iqp.make_rng))
+    for n, trials, seed in ((2, 6000, 42), (4, 4000, 44), (8, 2500, 47)):
+        harness.end_to_end(ExperimentConfig(
+            n=n, epsilon=0.015, gamma=1.0, trials=trials, seed=seed, max_k=8
+        ))
+    assert len(chain_trials) == 2 * 6000 + 4 * 4000 + 8 * 2500
+    assert len(starts) == 3 * 3
+    streams = TrialStreams()
+    starts += [start(streams(s, t, tag)) for s, t in chain_trials for tag in (0, 1)]
+    assert len(set(starts)) == len(starts)
 
 
 def test_end_to_end_noise_increases_tv():

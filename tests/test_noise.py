@@ -64,7 +64,7 @@ def test_local_stochastic_bound(layout):
     hits = [0] * len(subsets)
     for t in range(trials):
         fl = sample_iid_faults(model, layout, (9, t))
-        idx = {layout.locations.index(loc) for loc, _, _ in fl.faults}
+        idx = {layout.locations.index(loc) for loc, _ in fl.faults}
         for s_i, sub in enumerate(subsets):
             if all(i in idx for i in sub):
                 hits[s_i] += 1
@@ -75,27 +75,29 @@ def test_local_stochastic_bound(layout):
 
 
 def test_propagate_z_is_outcome_flip(chain2):
-    fs = noise.FaultSet((((noise.LAYER, 7), "Z", 0),))
+    fs = noise.FaultSet((((noise.LAYER, 7), "Z"),))
     res = propagate(fs, chain2)
     assert res.outcome_flips == 1 << 7
     assert res.layer_x == 0
-    fs = noise.FaultSet((((noise.PREP_DATA, 1, 3), "Z", 0),))
+    fs = noise.FaultSet((((noise.PREP_DATA, 1, 3), "Z"),))
     res = propagate(fs, chain2)
     assert res.outcome_flips == 1 << chain2.qubit(1, 3)
 
 
 def test_propagate_x_after_layer_no_effect(chain2):
-    fs = noise.FaultSet((((noise.FINAL_MEAS, 4), "X", 1),))
+    fs = noise.FaultSet((((noise.FINAL_MEAS, 4), "X"),))
     res = propagate(fs, chain2)
     assert res.outcome_flips == 0
     assert res.layer_x == 0
 
 
 def test_propagate_layer_twirl(chain2):
-    fs = noise.FaultSet((((noise.LAYER, 4), "X", 0),))
+    # propagation draws no twirl coin: a layer X only joins the X pattern
+    # that the trial twirls, and a layer Y adds just its Z part
+    fs = noise.FaultSet((((noise.LAYER, 4), "X"),))
     res = propagate(fs, chain2)
     assert res.layer_x == 1 << 4 and res.outcome_flips == 0
-    fs = noise.FaultSet((((noise.LAYER, 4), "X", 1),))
+    fs = noise.FaultSet((((noise.LAYER, 4), "Y"),))
     res = propagate(fs, chain2)
     assert res.layer_x == 1 << 4 and res.outcome_flips == 1 << 4
 
