@@ -164,7 +164,10 @@ def cmd_iqp_check_zero(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        return _exit_input(f"--workers must be >= 1, got {args.workers}")
     cfg = harness.ExperimentConfig.from_file(args.config)
+    workers = cfg.workers if args.workers is None else args.workers
     if args.what == "prep":
         rows = []
         for L in cfg.Ls:
@@ -187,7 +190,7 @@ def cmd_mc(args) -> int:
             cfg.noise_model(),
             cfg.trials,
             cfg.seed,
-            workers=args.workers or cfg.workers,
+            workers=workers,
             max_l=cfg.max_l,
             max_k=cfg.max_k,
             trace_path=args.trace,
@@ -204,7 +207,7 @@ def cmd_mc(args) -> int:
             cfg.epsilons,
             cfg.trials,
             cfg.seed,
-            workers=args.workers or cfg.workers,
+            workers=workers,
             noise=cfg.noise_model(),
         )
         out = args.out or "scan.csv"

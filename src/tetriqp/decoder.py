@@ -2,10 +2,14 @@
 
 Every decoder here is a view on one gf2.SyndromeDecoder, shared by all users
 of the same checks: minimum weight with deterministic (lowest-int) tie
-breaks, from a lookup table when there are at most 16 checks, otherwise from
-an exact per-cluster weight-bounded search with a deterministic greedy
-fallback above the search budget. The joint data-plus-measurement
-preparation decode always searches.
+breaks from a lookup table when there are at most 16 checks. Otherwise a
+pruned depth-first search solves each syndrome cluster and returns the first
+minimum-weight combination of its candidate columns in lexicographic order;
+where a plain enumeration of those combinations would exceed its work budget
+the cluster takes a deterministic greedy fallback instead. That budget is
+kept only so that decodes stay bit-identical until an exact decoder replaces
+the search (ROADMAP.md, item 1). Cluster decodes are memoised per decoder.
+The joint data-plus-measurement preparation decode always searches.
 
 Simulation runs in the Pauli difference frame: preparation decodes the face
 syndrome of the faults, merges decode the pair word they flip, and a trial

@@ -31,13 +31,12 @@ def vector_from_support(support) -> int:
 
 
 def support(v: int) -> list[int]:
+    """Indices of the set bits of v, ascending."""
     out = []
-    i = 0
     while v:
-        if v & 1:
-            out.append(i)
-        v >>= 1
-        i += 1
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
     return out
 
 
@@ -295,15 +294,45 @@ def syndrome_table(sigs: list[int]) -> dict[int, int]:
     return table
 
 
+def _xor_over(table, mask: int) -> int:
+    """XOR of table[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _or_over(table, mask: int) -> int:
+    """OR of table[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+CLUSTER_MEMO_MAX = 1 << 12  # cluster decodes kept per explainer; cleared when full
+
+
 class MinWeightExplainer:
-    """Exact min-weight explanation of sparse syndromes, cluster by cluster.
+    """Low-weight explanation of sparse syndromes, cluster by cluster.
 
     Columns are weight-1 error mechanisms with syndromes col_sigs[i]; when
     meas_cols is set, every check also gets a dedicated flip column (for
     joint data-plus-measurement decoding). Violated checks are grouped into
-    connected clusters (checks sharing a column) and each cluster is solved
-    by weight-bounded subset search, falling back to a deterministic greedy
-    above the work budget.
+    connected clusters (checks sharing a column). Each cluster is solved by a
+    pruned depth-first search over its candidate columns, weight by weight,
+    which returns the first combination that an `itertools.combinations`
+    enumeration of the same candidates returns: the lexicographically first
+    of minimum weight. A packing bound prunes the search. The enumeration's
+    work budget (the summed binomials of the weights tried) still decides
+    when to give up and fall back to a deterministic greedy, which is then
+    not minimum weight. The budget is kept only so that decodes stay
+    bit-identical until an exact decoder replaces this one (ROADMAP.md,
+    item 1). Cluster decodes are memoised, up to CLUSTER_MEMO_MAX of them.
     """
 
     def __init__(self, col_sigs: list[int], n_checks: int, meas_cols: bool,
@@ -313,14 +342,14 @@ class MinWeightExplainer:
         self.meas_cols = meas_cols
         self.budget = budget
         adj = [0] * n_checks
-        for sig in col_sigs:
+        cols = [0] * n_checks  # per check: mask of the columns touching it
+        for q, sig in enumerate(col_sigs):
             for f in support(sig):
                 adj[f] |= sig
+                cols[f] |= 1 << q
         self.check_adj = adj
-        self.cols_of_check = [
-            [q for q, sig in enumerate(col_sigs) if sig >> f & 1]
-            for f in range(n_checks)
-        ]
+        self.check_cols = cols
+        self._memo: dict[int, tuple[int, int]] = {}
 
     def _clusters(self, syndrome: int):
         left = syndrome
@@ -349,66 +378,151 @@ class MinWeightExplainer:
             meas ^= m
         return data, meas
 
-    def _solve_cluster(self, comp: int):
-        cands = sorted(
-            {q for f in support(comp) for q in self.cols_of_check[f]}
-        )
-        cols = [(q, self.col_sigs[q], False) for q in cands]
+    def _solve_cluster(self, comp: int) -> tuple[int, int]:
+        out = self._memo.get(comp)
+        if out is None:
+            if len(self._memo) >= CLUSTER_MEMO_MAX:
+                self._memo.clear()
+            out = self._memo[comp] = self._search(comp)
+        return out
+
+    def _search(self, comp: int) -> tuple[int, int]:
+        # Candidates, in the order the enumeration takes them: the data
+        # columns touching the cluster (bit q of a pick mask), then, with
+        # meas_cols, the flip columns of the violated checks and of every
+        # check a candidate data column touches (bit ncols + f), so mixed
+        # explanations that cancel outside the cluster stay reachable.
+        ncols = len(self.col_sigs)
+        col_sigs, check_cols, of_sig = self.col_sigs, self.check_cols, self._cols_of_sig
+        data_cands = _or_over(check_cols, comp)
+        cands = data_cands
+        flip0 = 0  # the flip column of check f is bit ncols + f, flip0 << f
         if self.meas_cols:
-            # flip columns for the violated checks and for every check a
-            # candidate data column touches, so mixed explanations that
-            # cancel outside the cluster stay reachable
-            reach = comp
-            for q in cands:
-                reach |= self.col_sigs[q]
-            cols += [(f, 1 << f, True) for f in support(reach)]
+            flip0 = 1 << ncols
+            cands |= (comp | _or_over(col_sigs, data_cands)) << ncols
+
+        tops = []  # the last w candidates, last first, grown with the weight w
+
+        def first(rem, start, r):
+            """Pick mask of the lexicographically first r candidates from
+            bit `start` on whose signatures XOR to rem, or 0."""
+            if not rem:
+                # r picks that cancel: the picks so far explain the cluster
+                # with fewer columns, a weight already searched in full
+                return 0
+            if r == 1:
+                for q in of_sig.get(rem, ()):
+                    if q >= start and data_cands >> q & 1:
+                        return 1 << q
+                f = rem.bit_length() - 1
+                if flip0 and rem == 1 << f and ncols + f >= start:
+                    return flip0 << f
+                return 0
+            # packing bound: violated checks whose remaining candidates are
+            # pairwise disjoint each need a pick of their own; and the first
+            # pick comes no later than the last candidate of any check
+            above = -1 << start
+            used = need = 0
+            limit = tops[r - 1] + 1  # r - 1 more picks must follow the first
+            left = rem
+            while left:
+                low = left & -left
+                left ^= low
+                f = low.bit_length() - 1
+                touch = ((check_cols[f] & data_cands) | flip0 << f) & above
+                if not touch:
+                    return 0
+                if not touch & used:
+                    used |= touch
+                    need += 1
+                limit = min(limit, touch.bit_length())
+            if need > r:
+                return 0
+            left = cands & above & ((1 << limit) - 1)
+            while left:
+                low = left & -left
+                left ^= low
+                b = low.bit_length() - 1
+                sig = col_sigs[b] if b < ncols else 1 << (b - ncols)
+                rest = first(rem ^ sig, b + 1, r - 1)
+                if rest:
+                    return rest | low
+            return 0
+
+        n = cands.bit_count()
+        lower = cands
         work = 0
-        for w in range(0, len(cols) + 1):
-            work += _comb(len(cols), w)
+        for w in range(n + 1):
+            work += _comb(n, w)
             if work > self.budget:
                 return self._greedy(comp)
-            for combo in itertools.combinations(range(len(cols)), w):
-                s = 0
-                for i in combo:
-                    s ^= cols[i][1]
-                if s == comp:
-                    data = meas = 0
-                    for i in combo:
-                        key, _, is_meas = cols[i]
-                        if is_meas:
-                            meas |= 1 << key
-                        else:
-                            data |= 1 << key
-                    return data, meas
+            if not w:
+                continue  # comp is nonzero
+            # once weights 1 and 2 found nothing, check that some weight can:
+            # when the candidates do not span the cluster, the enumeration
+            # runs through every weight its budget allows and falls back
+            if w == 3 and not flip0 and not in_rowspace(
+                [col_sigs[q] for q in support(data_cands)], self.n_checks, comp
+            ):
+                break
+            tops.append(lower.bit_length() - 1)
+            lower ^= 1 << tops[-1]
+            picks = first(comp, 0, w)
+            if picks:
+                return picks & ((1 << ncols) - 1), picks >> ncols
         return self._greedy(comp)
 
-    def _greedy(self, comp: int):
+    def _greedy(self, comp: int) -> tuple[int, int]:
+        sigs = self.col_sigs
         data = 0
         remaining = comp
         while remaining:
-            best = None
-            for q, sig in enumerate(self.col_sigs):
-                if data >> q & 1:
-                    continue
-                gain = remaining.bit_count() - (remaining ^ sig).bit_count()
-                if gain > 0 and (best is None or gain > best[0]):
-                    best = (gain, q)
-            if best is None:
+            # the unused column that clears the most violated checks, lowest
+            # q on ties; only columns touching `remaining` can clear any
+            cols = support(_or_over(self.check_cols, remaining) & ~data)
+            after = [(remaining ^ sigs[q]).bit_count() for q in cols]
+            if not after or min(after) >= remaining.bit_count():
                 break
-            data |= 1 << best[1]
-            remaining ^= self.col_sigs[best[1]]
+            q = cols[after.index(min(after))]
+            data |= 1 << q
+            remaining ^= sigs[q]
         if self.meas_cols:
             return data, remaining
         if remaining:
-            rows = [
-                vector_from_support(self.cols_of_check[f])
-                for f in range(self.n_checks)
-            ]
-            extra = solve(BitMatrix.make(rows, len(self.col_sigs)), remaining)
-            if extra is None:
+            extra = _xor_over(self._check_solutions, remaining)
+            if _xor_over(self.col_sigs, extra) != remaining:
                 raise ValueError("inconsistent syndrome in data-only decode")
             data ^= extra
         return data, 0
+
+    @functools.cached_property
+    def _cols_of_sig(self) -> dict[int, list[int]]:
+        """Signature -> the columns that have it, ascending."""
+        out: dict[int, list[int]] = {}
+        for q, sig in enumerate(self.col_sigs):
+            out.setdefault(sig, []).append(q)
+        return out
+
+    @functools.cached_property
+    def _check_solutions(self) -> list[int]:
+        """Per check f, the columns that `solve` sets for the syndrome 1 << f.
+
+        The check matrix is reduced once, with row f carrying the marker bit
+        n + f, so every reduced row records which checks it combines. `rref`
+        picks its pivots on columns 0..n-1 without looking at a right-hand
+        side, so `solve(H, b)` sets pivot column p exactly when the row of p
+        combines an odd number of the checks in b: its answer is the XOR of
+        these per-check answers over b whenever b is consistent.
+        """
+        n = len(self.col_sigs)
+        red, pivots = rref(
+            [cols | 1 << (n + f) for f, cols in enumerate(self.check_cols)], n
+        )
+        out = [0] * self.n_checks
+        for row, p in zip(red, pivots):
+            for f in support(row >> n):
+                out[f] |= 1 << p
+        return out
 
 
 TABLE_MAX_CHECKS = 16
@@ -420,10 +534,12 @@ class SyndromeDecoder:
     A lookup table of exact minimum-weight errors covers the whole syndrome
     space when there are at most TABLE_MAX_CHECKS checks and no measurement
     columns; otherwise a MinWeightExplainer solves each syndrome cluster by
-    cluster (minimum weight per cluster, greedy above its budget). With
-    meas_cols, every check also gets a flip column, for joint
-    data-plus-measurement decoding. Use `of` to share one decoder among all
-    users of the same checks.
+    cluster: a pruned depth-first search that returns the minimum-weight
+    combination a plain enumeration would return, and a greedy fallback where
+    that enumeration's budget runs out. With meas_cols, every check also
+    gets a flip column, for joint data-plus-measurement decoding. Use `of` to
+    share one decoder, and its explainer's cluster memo, among all users of
+    the same checks.
     """
 
     def __init__(self, check_rows: tuple[int, ...], ncols: int, meas_cols: bool = False):
@@ -446,7 +562,8 @@ class SyndromeDecoder:
         return cls(check_rows, ncols, meas_cols)
 
     def syndrome(self, word: int) -> int:
-        return self.checks.mul_vec(word)
+        """Checks violated by flipping the columns of `word` (H @ word)."""
+        return _xor_over(self.sigs, word)
 
     def decode(self, syndrome: int) -> tuple[int, int]:
         """(column mask, measurement-flip mask) explaining the syndrome."""

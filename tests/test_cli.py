@@ -154,6 +154,33 @@ def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
         assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["0", "-3"])
+def test_mc_workers_flag_below_one_rejected(tmp_path, capsys, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, "workers": 2}))
+    for what in ("pipeline", "scan"):
+        argv = ["mc", what, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert run([*argv, "--workers", flag]) == 2
+        assert "--workers" in capsys.readouterr().err
+
+
+def test_mc_workers_flag_overrides_config(tmp_path, monkeypatch):
+    from tetriqp import harness
+
+    seen = []
+
+    def fake(L, k, model, trials, seed, workers, **kw):
+        seen.append(workers)
+        return harness.RateEstimate(L, k, model.epsilon, trials, 0, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(harness, "logical_error_rate", fake)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, "workers": 2}))
+    argv = ["mc", "pipeline", "--config", str(cfg)]
+    assert run(argv) == 0 and run([*argv, "--workers", "1"]) == 0
+    assert seen == [2, 1]
+
+
 def test_e2e(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,3 +1,6 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
@@ -169,3 +172,150 @@ def test_syndrome_decoder_table_and_search_paths():
         corr, meas = dec.decode(dec.syndrome(err))
         assert meas == 0 and dec.syndrome(corr) == dec.syndrome(err)
     assert gf2.SyndromeDecoder.of(rows, 12) is gf2.SyndromeDecoder.of(rows, 12)
+
+
+def _enumerated_cluster(ex, comp):
+    """The cluster decode as a plain weight-by-weight enumeration of
+    combinations under the work budget, greedy (scanning every column, data
+    remainder through gf2.solve) above it; and whether greedy ran."""
+    cands = [q for q, sig in enumerate(ex.col_sigs) if sig & comp]
+    cols = [(q, ex.col_sigs[q], False) for q in cands]
+    if ex.meas_cols:
+        reach = comp
+        for q in cands:
+            reach |= ex.col_sigs[q]
+        cols += [(f, 1 << f, True) for f in gf2.support(reach)]
+    work = 0
+    for w in range(len(cols) + 1):
+        work += gf2._comb(len(cols), w)
+        if work > ex.budget:
+            break
+        for combo in itertools.combinations(cols, w):
+            if functools.reduce(operator.xor, (sig for _, sig, _ in combo), 0) == comp:
+                data = sum(1 << key for key, _, m in combo if not m)
+                return (data, sum(1 << key for key, _, m in combo if m)), False
+    data, remaining = 0, comp
+    while remaining:
+        best = None
+        for q, sig in enumerate(ex.col_sigs):
+            gain = remaining.bit_count() - (remaining ^ sig).bit_count()
+            if not data >> q & 1 and gain > 0 and (best is None or gain > best[0]):
+                best = (gain, q)
+        if best is None:
+            break
+        data |= 1 << best[1]
+        remaining ^= ex.col_sigs[best[1]]
+    if ex.meas_cols or not remaining:
+        return (data, remaining if ex.meas_cols else 0), True
+    rows = [sum(1 << q for q, sig in enumerate(ex.col_sigs) if sig >> f & 1)
+            for f in range(ex.n_checks)]
+    extra = gf2.solve(BitMatrix.make(rows, len(ex.col_sigs)), remaining)
+    return (None if extra is None else (data ^ extra, 0)), True
+
+
+@pytest.fixture(scope="module")
+def recorded_clusters():
+    """Explainer -> clusters it was asked to solve, from sampled trials."""
+    from tetriqp import harness
+    from tetriqp.noise import NoiseModel
+
+    seen = {}
+    solve_cluster = gf2.MinWeightExplainer._solve_cluster
+
+    def recording(self, comp):
+        seen.setdefault(self, set()).add(comp)
+        return solve_cluster(self, comp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf2.MinWeightExplainer, "_solve_cluster", recording)
+        for k, L, eps, trials in [(1, 3, 0.05, 300), (1, 5, 0.03, 200), (4, 5, 0.01, 150),
+                                  (5, 3, 0.02, 150), (1, 7, 0.01, 60)]:
+            harness.logical_error_rate(L, k, NoiseModel(eps), trials, (17, k, L))
+    return seen
+
+
+def test_cluster_search_equals_enumeration_on_sampled_trials(recorded_clusters):
+    greedy = 0
+    kinds = set()
+    for ex, comps in recorded_clusters.items():
+        kinds.add(ex.meas_cols)
+        for comp in sorted(comps):
+            want, fell_back = _enumerated_cluster(ex, comp)
+            greedy += fell_back
+            ex._memo.clear()
+            assert ex._solve_cluster(comp) == want
+    # preparation decoders at L = 3, 5, 7 (with measurement columns), the
+    # k = 4, L = 5 chain decoder and the L = 7 cell decoder; the rest are tables
+    assert kinds == {False, True} and len(recorded_clusters) == 5
+    assert greedy >= 20  # the fallback is compared too
+
+
+def test_cluster_search_equals_enumeration_on_random_codes():
+    # small budgets force greedy, sparse data-only codes leave it remainders
+    # for the tracked elimination, and random syndromes may be inconsistent
+    rng = random.Random(23)
+    paths = set()
+    for trial in range(60):
+        ncols, nchecks = rng.randrange(8, 30), rng.randrange(4, 20)
+        sigs = [gf2.vector_from_support(rng.sample(range(nchecks), rng.randrange(1, 4)))
+                for _ in range(ncols)]
+        ex = gf2.MinWeightExplainer(sigs, nchecks, meas_cols=trial % 3 == 0,
+                                    budget=rng.choice([30, 400, 120_000]))
+        for _ in range(20):
+            syn = rng.getrandbits(nchecks) or 1
+            for comp in ex._clusters(syn):
+                want, fell_back = _enumerated_cluster(ex, comp)
+                paths.add((fell_back, want is None))
+                if want is None:
+                    with pytest.raises(ValueError, match="inconsistent"):
+                        ex._solve_cluster(comp)
+                else:
+                    assert ex._solve_cluster(comp) == want
+    assert paths == {(False, False), (True, False), (True, True)}
+
+
+def test_tracked_elimination_equals_solve():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(40):
+        ncols, nchecks = rng.randrange(1, 24), rng.randrange(1, 20)
+        rows = gf2.random_rows(rng, nchecks, ncols)
+        sigs = [gf2.vector_from_support(f for f in range(nchecks) if rows[f] >> q & 1)
+                for q in range(ncols)]
+        ex = gf2.MinWeightExplainer(sigs, nchecks, meas_cols=False)
+        m = mat(rows, ncols)
+        for b in [m.mul_vec(rng.getrandbits(ncols)) for _ in range(10)] + [
+            rng.getrandbits(nchecks) for _ in range(10)
+        ]:
+            x = gf2._xor_over(ex._check_solutions, b)
+            want = gf2.solve(m, b)
+            outcomes.add(want is None)
+            if want is None:
+                assert m.mul_vec(x) != b
+            else:
+                assert x == want
+    assert outcomes == {False, True}
+
+
+def test_cluster_memo_is_capped_and_transparent(monkeypatch, recorded_clusters):
+    monkeypatch.setattr(gf2, "CLUSTER_MEMO_MAX", 8)
+    for ex, comps in recorded_clusters.items():
+        comps = sorted(comps)
+        ex._memo.clear()
+        first = [ex._solve_cluster(c) for c in comps]
+        assert len(ex._memo) <= 8
+        ex._memo.clear()
+        assert [ex._solve_cluster(c) for c in comps[::-1]] == first[::-1]
+        assert len(ex._memo) <= 8
+        ex._memo.clear()
+
+
+def test_syndrome_equals_matrix_product():
+    rng = random.Random(31)
+    for _ in range(20):
+        ncols = rng.randrange(1, 40)
+        rows = tuple(gf2.random_rows(rng, rng.randrange(1, 30), ncols))
+        dec = gf2.SyndromeDecoder(rows, ncols)
+        for _ in range(20):
+            word = rng.getrandbits(ncols)
+            assert dec.syndrome(word) == dec.checks.mul_vec(word)
