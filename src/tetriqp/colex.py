@@ -6,8 +6,11 @@ all-even or all-odd coordinates, colored by (x+y+z) mod 4; every Delaunay
 tetrahedron then carries all four colors. Clipping to a tetrahedral region
 bounded by the four body-diagonal half-spaces <n_i, v> >= a_i and coning each
 of the four boundary disks to an extra color vertex closes the triangulation
-into a 3-sphere. The colex is its dual, minus the one all-boundary
-tetrahedron:
+into a 3-sphere. Only the Delaunay tetrahedra that can meet the region are
+enumerated: a tetrahedron reaches at most 3 along any normal from its base
+point, so base points in the region widened by 3 on every side cover the
+region and the far side of each boundary triangle. The colex is the dual of
+the closed triangulation, minus the one all-boundary tetrahedron:
 
     qubits  = tetrahedra of the closed triangulation (minus the outer one)
     cells   = interior (lattice) dual vertices, colored
@@ -114,34 +117,41 @@ def _offsets(L: int) -> tuple[int, int, int, int]:
     return tuple(a)
 
 
-def _disphenoids(bound: int):
-    """All BCC Delaunay tetrahedra with base point inside [-bound, bound]^3.
+def _disphenoids(offs) -> set:
+    """BCC Delaunay tetrahedra, among them all with a vertex in the region
+    <n_i, v> >= a_i (a_i = offs[i]).
 
-    Each tetrahedron joins a lattice edge of the even sublattice with a
-    crossing edge of the odd sublattice.
+    Each tetrahedron joins a lattice edge p, p + 2e_u of the even sublattice
+    (p is its base point) with a crossing edge of the odd sublattice, so its
+    vertices differ from p by 2e_u or e_u +- e_w +- e_t, and <n_i, v - p> lies
+    in [-3, 3] for every clip normal. A tetrahedron with a vertex inside
+    therefore has <n_i, p> >= a_i - 3 for all i, and only those base points
+    are enumerated: they cover every region tetrahedron and every tetrahedron
+    that shares one of its triangles. The normals sum to zero, so these four
+    half-spaces bound a tetrahedron; n_0 + n_j = 2e_j and the sum of the other
+    two normals, -2e_j, bound coordinate j of its base points.
     """
+    b = [a - 3 for a in offs]
+    axes = []
+    for j in (1, 2, 3):
+        lo = -(-(b[0] + b[j]) // 2)
+        hi = (b[0] + b[j] - sum(b)) // 2
+        axes.append(range(lo + lo % 2, hi + 1, 2))
     tets = set()
-    lo = -bound - (bound % 2)
-    rng = range(lo, bound + 1, 2)
-    for px in rng:
-        for py in rng:
-            for pz in rng:
-                p = (px, py, pz)
-                for u in range(3):
-                    for w in range(3):
-                        if w == u:
-                            continue
-                        t = 3 - u - w
-                        au, aw, at = _AXES[u], _AXES[w], _AXES[t]
-                        p2 = tuple(p[i] + 2 * au[i] for i in range(3))
-                        for s in (-1, 1):
-                            q1 = tuple(
-                                p[i] + au[i] - aw[i] + s * at[i] for i in range(3)
-                            )
-                            q2 = tuple(
-                                p[i] + au[i] + aw[i] + s * at[i] for i in range(3)
-                            )
-                            tets.add(frozenset((p, p2, q1, q2)))
+    for p in itertools.product(*axes):
+        if any(sum(n[i] * p[i] for i in range(3)) < bi for n, bi in zip(NORMALS, b)):
+            continue
+        for u in range(3):
+            for w in range(3):
+                if w == u:
+                    continue
+                t = 3 - u - w
+                au, aw, at = _AXES[u], _AXES[w], _AXES[t]
+                p2 = tuple(p[i] + 2 * au[i] for i in range(3))
+                for s in (-1, 1):
+                    q1 = tuple(p[i] + au[i] - aw[i] + s * at[i] for i in range(3))
+                    q2 = tuple(p[i] + au[i] + aw[i] + s * at[i] for i in range(3))
+                    tets.add(frozenset((p, p2, q1, q2)))
     return tets
 
 
@@ -150,8 +160,7 @@ def build_tetrahedral_colex(L: int) -> Colex:
     if L < 3 or L % 2 == 0:
         raise ColexBuildError(f"L must be an odd integer >= 3, got {L}")
     offs = _offsets(L)
-    span = 2 * L + 6
-    all_tets = _disphenoids(span)
+    all_tets = _disphenoids(offs)
 
     def inside(v):
         return all(

@@ -12,6 +12,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 
 def weight(v: int) -> int:
     """Hamming weight of a bit row."""
@@ -271,27 +273,43 @@ def random_rows(rng, nrows, ncols):
 def syndrome_table(sigs: list[int]) -> dict[int, int]:
     """Map syndrome -> minimum-weight error (lowest int among minima).
 
-    sigs[i] is the syndrome of a weight-1 error on column i; breadth-first
-    layers enumerate error weights, so the first time a syndrome appears its
-    error is minimum weight.
+    sigs[i] is the syndrome of a weight-1 error on column i. A breadth-first
+    search over error weights meets each reachable syndrome first in the
+    layer of its minimum weight; unreachable syndromes are absent. The
+    lowest-int minimum error of a syndrome, less its highest column, is the
+    lowest-int minimum error of the syndrome it leaves, so a layer only
+    extends each entry of the last one by a column q above its highest
+    column. Those extensions have highest column q, so the first q to reach
+    a syndrome gives its lowest int. A layer runs in numpy one column at a
+    time; errors are stored as rows of uint64 words, least significant first.
     """
-    table = {0: 0}
-    frontier = {0: 0}
-    while frontier:
-        nxt: dict[int, int] = {}
-        for syn, err in sorted(frontier.items(), key=lambda kv: kv[1]):
-            for q, sig in enumerate(sigs):
-                if err >> q & 1:
-                    continue
-                s2 = syn ^ sig
-                if s2 in table:
-                    continue
-                e2 = err | (1 << q)
-                if s2 not in nxt or e2 < nxt[s2]:
-                    nxt[s2] = e2
-        table.update(nxt)
-        frontier = nxt
-    return table
+    size = 1 << max(sigs, default=0).bit_length()
+    best = np.zeros((size, max(1, -(-len(sigs) // 64))), dtype=np.uint64)
+    high = np.full(size, -1, dtype=np.int64)  # highest column of best[s]
+    seen = np.zeros(size, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.int64)
+    while front.size:
+        front = front[np.argsort(high[front])]
+        errs = best[front]
+        ends = np.searchsorted(high[front], np.arange(len(sigs))).tolist()
+        layer = []
+        for q, (sig, end) in enumerate(zip(sigs, ends)):
+            syn = front[:end] ^ sig  # injective, so no syndrome repeats
+            fresh = ~seen[syn]
+            syn = syn[fresh]
+            err = errs[:end][fresh]
+            err[:, q // 64] |= np.uint64(1 << q % 64)
+            seen[syn] = True
+            high[syn] = q
+            best[syn] = err
+            layer.append(syn)
+        front = np.concatenate(layer) if layer else front[:0]
+    reached = np.flatnonzero(seen)
+    out = [0] * len(reached)
+    for w in range(best.shape[1] - 1, -1, -1):
+        out = [e << 64 | x for e, x in zip(out, best[reached, w].tolist())]
+    return dict(zip(reached.tolist(), out))
 
 
 def _xor_over(table, mask: int) -> int:

@@ -336,6 +336,7 @@ def logical_error_rate(
             (L, k, model, seed, int(a), int(b))
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
+        ChainSim.build(k, L)  # forked workers inherit it instead of rebuilding
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_chunk, jobs))
         counts = tuple(sum(col) for col in zip(*parts))

@@ -281,14 +281,17 @@ class SplitResult:
 class SplitContext:
     """Precomputed structure for the software split of one chain.
 
-    Holds the decoder of the gauge-invariant chain stabilizers (the fused
-    cells, shared with every code that has the same checks) and for every
-    merge a dual basis of pair patterns: rho[c] flips exactly the fused pair
-    c (and no other) on both sides of the merge.
+    Holds the decoders of the gauge-invariant chain stabilizers (the fused
+    cells) and of each block's cells, shared with every code that has the
+    same checks, and for every merge a dual basis of pair patterns: rho[c]
+    flips exactly the fused pair c (and no other) on both sides of the merge.
     """
 
     def __init__(self, t: TetrahelixCode):
         self.chain = gf2.SyndromeDecoder.of(t.code.hx.rows, t.code.n)
+        self.cells = tuple(
+            gf2.SyndromeDecoder.of(b.code.hx.rows, b.code.n) for b in t.blocks
+        )
         # per merge: fused pairs in priority order (summits/edges first, then
         # bulk, ties by lowest block then cell id) with their dual patterns
         span_of = {}
@@ -358,7 +361,7 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
                 outs[j] ^= 1 << vl
                 outs[j + 1] ^= 1 << vr
 
-    syndromes = tuple(t.blocks[b].code.hx.mul_vec(outs[b]) for b in range(k))
+    syndromes = tuple(ctx.cells[b].syndrome(outs[b]) for b in range(k))
     return SplitResult(tuple(outs), syndromes, tuple(frames))
 
 

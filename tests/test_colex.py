@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import itertools
+import json
 
 import pytest
 
@@ -139,3 +142,45 @@ def test_import_invalid_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(cx.ColexParseError, match="line"):
         cx.import_colex(p)
+
+
+# sha256 of the sorted-key JSON of build_tetrahedral_colex(L), recorded from
+# the full-cube enumeration that the clip-filtered one replaced
+COLEX_SHA256 = {
+    3: "613257dfca76ef1dd6e0cf93ace571e107520d27fada10fcb8aa24a81bbaeaa1",
+    5: "19bd6237a367c89b9d6e3cb7b849a064aa45ef638c2e026d3aeb204e8ac1ce9f",
+    7: "da5648ad543be49e1c086ab9bca09ee934f05bb7763a6acc476223c17632d66e",
+    9: "d9106a44076c89a51b083992af6f405412845a4c01954d02afbff288f56e4bbf",
+}
+
+
+@pytest.mark.parametrize("L", sorted(COLEX_SHA256))
+def test_colex_pinned(L):
+    text = json.dumps(cx.colex_to_dict(cx.build_tetrahedral_colex(L)), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COLEX_SHA256[L]
+
+
+def _cube_disphenoids(bound):
+    """Every BCC Delaunay tetrahedron with base point in [-bound, bound]^3."""
+    tets = set()
+    axis = range(-bound - bound % 2, bound + 1, 2)
+    for p in itertools.product(axis, repeat=3):
+        for u, w in itertools.permutations(range(3), 2):
+            au, aw, at = (cx._AXES[i] for i in (u, w, 3 - u - w))
+            p2 = tuple(p[i] + 2 * au[i] for i in range(3))
+            for s in (-1, 1):
+                q1 = tuple(p[i] + au[i] - aw[i] + s * at[i] for i in range(3))
+                q2 = tuple(p[i] + au[i] + aw[i] + s * at[i] for i in range(3))
+                tets.add(frozenset((p, p2, q1, q2)))
+    return tets
+
+
+@pytest.mark.parametrize("L", [3, 5])
+def test_clip_filter_keeps_every_tetrahedron_touching_the_region(L):
+    offs = cx._offsets(L)
+
+    def inside(v):
+        return all(sum(n[i] * v[i] for i in range(3)) >= a for n, a in zip(cx.NORMALS, offs))
+
+    touching = {t for t in _cube_disphenoids(2 * L + 6) if any(map(inside, t))}
+    assert touching <= cx._disphenoids(offs)

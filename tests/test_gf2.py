@@ -319,3 +319,70 @@ def test_syndrome_equals_matrix_product():
         for _ in range(20):
             word = rng.getrandbits(ncols)
             assert dec.syndrome(word) == dec.checks.mul_vec(word)
+
+
+def _bfs_table(sigs):
+    """syndrome_table as a plain breadth-first search over Python ints."""
+    table = {0: 0}
+    frontier = {0: 0}
+    while frontier:
+        nxt = {}
+        for syn, err in sorted(frontier.items(), key=lambda kv: kv[1]):
+            for q, sig in enumerate(sigs):
+                if err >> q & 1:
+                    continue
+                s2 = syn ^ sig
+                if s2 in table:
+                    continue
+                e2 = err | (1 << q)
+                if s2 not in nxt or e2 < nxt[s2]:
+                    nxt[s2] = e2
+        table.update(nxt)
+        frontier = nxt
+    return table
+
+
+def test_syndrome_table_equals_bfs_on_table_decoded_codes():
+    from tetriqp import colex as cx
+    from tetriqp import csscode as cc
+
+    for L in (3, 5):
+        c = cx.build_tetrahedral_colex(L)
+        code = cc.from_colex(c)
+        checks = [(code.hx.rows, code.n)]
+        for color in range(4):
+            fc = cx.facet_code(c, color)
+            checks.append((tuple(gf2.vector_from_support(f) for f in fc.faces), fc.n))
+        for rows, ncols in checks:
+            dec = gf2.SyndromeDecoder.of(rows, ncols)
+            assert dec.table is not None
+            assert dec.table == _bfs_table(dec.sigs)
+            assert len(dec.table) == 1 << gf2.rank(rows, ncols)
+
+
+def test_syndrome_table_equals_bfs_on_random_signatures():
+    rng = random.Random(41)
+    for ncols in list(range(1, 12)) + [63, 64, 65, 100, 127, 128, 129, 150]:
+        r = rng.randrange(3, 11)
+        sigs = gf2.random_rows(rng, ncols, r)
+        assert gf2.syndrome_table(sigs) == _bfs_table(sigs)
+        # rank deficient: columns from the span of r - 2 syndromes
+        basis = gf2.random_rows(rng, r - 2, r)
+        sigs = [gf2._xor_over(basis, rng.getrandbits(r - 2)) for _ in range(ncols)]
+        table = gf2.syndrome_table(sigs)
+        assert table == _bfs_table(sigs)
+        assert len(table) == 1 << gf2.rank(sigs, r) < 1 << r
+    assert gf2.syndrome_table([]) == {0: 0}
+
+
+def test_syndrome_table_is_lowest_int_minimum_weight():
+    rng = random.Random(43)
+    for _ in range(60):
+        ncols = rng.randrange(1, 13)
+        sigs = gf2.random_rows(rng, ncols, rng.randrange(1, 9))
+        best = {}
+        for err in range(1 << ncols):
+            syn = gf2._xor_over(sigs, err)
+            if syn not in best or err.bit_count() < best[syn].bit_count():
+                best[syn] = err
+        assert gf2.syndrome_table(sigs) == best

@@ -96,6 +96,18 @@ def test_worker_reproducibility():
         assert other == base
 
 
+def test_parallel_run_builds_the_simulator_in_the_parent():
+    # workers fork from the parent, so they inherit the simulator it built
+    model = NoiseModel(0.03)
+    ChainSim.build.cache_clear()
+    par = harness.logical_error_rate(3, 2, model, 200, seed=13, workers=2)
+    info = ChainSim.build.cache_info()
+    assert info.currsize == 1
+    ChainSim.build(2, 3)
+    assert ChainSim.build.cache_info().hits == info.hits + 1
+    assert par == harness.logical_error_rate(3, 2, model, 200, seed=13, workers=1)
+
+
 def test_scan_degenerate_grid(tmp_path):
     res = harness.threshold_scan([3], [1], [0.01], trials=50, seed=3)
     assert len(res.rows) == 1

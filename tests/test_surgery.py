@@ -160,6 +160,9 @@ def test_split_idempotent(chain3):
         o = _random_codeword_outcome(chain3, rng)
         o ^= rng.getrandbits(chain3.code.n)  # arbitrary noise on top
         res = sg.split_frame(chain3, o)
+        assert res.block_syndromes == tuple(
+            b.code.hx.mul_vec(ob) for b, ob in zip(chain3.blocks, res.block_outcomes)
+        )
         o2 = 0
         for b in range(chain3.k):
             o2 |= res.block_outcomes[b] << chain3.block_offset(b)
