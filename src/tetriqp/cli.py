@@ -87,9 +87,12 @@ def cmd_code_distance(args) -> int:
 def cmd_code_t_partition(args) -> int:
     chain = _load_chain(args.infile)
     code = chain.blocks[0].code
-    tp = csscode.find_t_partition(code)
+    try:
+        tp = csscode.find_t_partition(code)
+    except csscode.EnumerationTooLarge as e:
+        return _exit_input(str(e))
     if tp is None:
-        _err("search exhausted without finding a partition (not a nonexistence proof)")
+        _err("no candidate partition passed (not a nonexistence proof)")
         return 1
     rep = csscode.check_diagonal_transversality(code, tp)
     print(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -205,18 +204,21 @@ def check_diagonal_transversality(
     return PhaseCheckReport(True, residue=r, gate="T" if r == 1 else "Tdg")
 
 
-def find_t_partition(code: CssCode, max_candidates: int = 4096) -> TPartition | None:
+def find_t_partition(code: CssCode) -> TPartition | None:
     """Search for a vertex sign assignment implementing a logical T or T-dagger.
 
-    Tries the trivial assignments, then solutions of the necessary mod-2
-    linear conditions (generator and pairwise-overlap parities), walking the
-    solution space deterministically with randomized restarts. A returned
-    partition always passes check_diagonal_transversality; None means the
-    search was exhausted, not that no partition exists.
+    Tries the trivial assignments, then the solution that `gf2.solve` gives
+    for the necessary mod-2 linear conditions (generator and pairwise-overlap
+    parities). A returned partition always passes
+    check_diagonal_transversality; None means these candidates failed, not
+    that no partition exists.
     """
     gens = _independent_generators(code.hx.rows, code.n)
     if len(gens) > ENUM_GENERATOR_CAP:
-        raise EnumerationTooLarge("stabilizer group too large to verify partitions")
+        raise EnumerationTooLarge(
+            f"stabilizer group of {len(gens)} generators is too large to verify "
+            f"partitions (cap 2^{ENUM_GENERATOR_CAP})"
+        )
     lx = code.logical_x
 
     def quick_reject(bmask):
@@ -263,36 +265,7 @@ def find_t_partition(code: CssCode, max_candidates: int = 4096) -> TPartition | 
     m = gf2.BitMatrix.make(rows, code.n)
     b_vec = gf2.vector_from_support(i for i, v in enumerate(rhs) if v)
     x0 = gf2.solve(m, b_vec)
-    if x0 is None:
-        return None
-    null = gf2.kernel_basis(rows, code.n)
-    got = verify(x0)
-    if got:
-        return got
-    rng = random.Random(0x5EED)
-    tried = 0
-    # deterministic sweep of low-order combinations, then random lifts
-    for r in range(1, min(3, len(null)) + 1):
-        for combo in itertools.combinations(range(len(null)), r):
-            cand = x0
-            for i in combo:
-                cand ^= null[i]
-            got = verify(cand)
-            if got:
-                return got
-            tried += 1
-            if tried >= max_candidates:
-                return None
-    while tried < max_candidates:
-        cand = x0
-        for v in null:
-            if rng.getrandbits(1):
-                cand ^= v
-        got = verify(cand)
-        if got:
-            return got
-        tried += 1
-    return None
+    return None if x0 is None else verify(x0)
 
 
 # ---------------------------------------------------------------------------

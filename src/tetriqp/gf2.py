@@ -154,6 +154,25 @@ def solve(m: BitMatrix, b: int) -> int | None:
     return x
 
 
+def unit_solutions(rows, ncols) -> list[int]:
+    """Per row f, what `solve` returns for the right-hand side 1 << f.
+
+    The rows are reduced once, with row f carrying the marker bit ncols + f,
+    so every reduced row records which rows it combines. `rref` picks its
+    pivots on columns 0..ncols-1 without looking at a right-hand side, so
+    `solve(M, b)` sets pivot column p exactly when the row of p combines an
+    odd number of the rows in b: its answer is the XOR of these per-row
+    answers over b whenever b is consistent. Where 1 << f itself is not,
+    entry f is that XOR term only, not a solution.
+    """
+    red, pivots = rref([row | 1 << (ncols + f) for f, row in enumerate(rows)], ncols)
+    out = [0] * len(rows)
+    for row, p in zip(red, pivots):
+        for f in support(row >> ncols):
+            out[f] |= 1 << p
+    return out
+
+
 def kernel_basis(rows, ncols) -> list[int]:
     """Basis of {x : M x = 0}; size = ncols - rank(M)."""
     if isinstance(rows, BitMatrix):
@@ -523,24 +542,8 @@ class MinWeightExplainer:
 
     @functools.cached_property
     def _check_solutions(self) -> list[int]:
-        """Per check f, the columns that `solve` sets for the syndrome 1 << f.
-
-        The check matrix is reduced once, with row f carrying the marker bit
-        n + f, so every reduced row records which checks it combines. `rref`
-        picks its pivots on columns 0..n-1 without looking at a right-hand
-        side, so `solve(H, b)` sets pivot column p exactly when the row of p
-        combines an odd number of the checks in b: its answer is the XOR of
-        these per-check answers over b whenever b is consistent.
-        """
-        n = len(self.col_sigs)
-        red, pivots = rref(
-            [cols | 1 << (n + f) for f, cols in enumerate(self.check_cols)], n
-        )
-        out = [0] * self.n_checks
-        for row, p in zip(red, pivots):
-            for f in support(row >> n):
-                out[f] |= 1 << p
-        return out
+        """Per check f, the columns that `solve` sets for the syndrome 1 << f."""
+        return unit_solutions(self.check_cols, len(self.col_sigs))
 
 
 TABLE_MAX_CHECKS = 16

@@ -19,9 +19,11 @@ same syndromes for o ^ f as for f, and decode(o ^ f) = decode(o) ^ decode(f).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -241,15 +243,15 @@ class ChainSim:
         return x_diff, prop.outcome_flips, tuple(sector), prep_nc
 
     def _decode(self, outcomes: int) -> int:
+        """Decoded chain logical of an outcome word: split it, decode each
+        block's cell syndrome and add each block's X-bar parity. The split
+        applies pair stabilizers only, which commute with the chain X-bar,
+        so the framed blocks' parities sum to that of the unframed word."""
         res = surgery.split_frame(self.t, outcomes)
-        out = 0
-        for b in range(self.t.k):
-            dec = self.block_decoders[b]
-            zhat = dec.decode_cells(res.block_syndromes[b])
-            lxb = self.t.block_slice(self.t.block_logical_x[b], b)
-            ob = res.block_outcomes[b]
-            out ^= ((ob & lxb).bit_count() + (zhat & lxb).bit_count()) & 1
-        return out
+        out = (outcomes & self.t.code.logical_x).bit_count()
+        for dec, syndrome in zip(self.block_decoders, res.block_syndromes):
+            out += (dec.decode_cells(syndrome) & dec.lx).bit_count()
+        return out & 1
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +490,8 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     sim = ChainSim.build(k, config.L)
     model = config.noise_model()
 
-    cdfs: dict[tuple, np.ndarray] = {}  # alignments -> CDF of the effective circuit
-    ideal_cdf = _cdf(ideal)
+    # alignments -> CDF of the effective circuit; all aligned is the ideal one
+    cdfs = {((0,) * k,) * n: _cdf(ideal)}
     samples = []
     corrupted_chains = 0
     rng_sample = make_rng((config.seed, 0xE2E))
@@ -500,23 +502,15 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
             res = sim.run_trial(model, (config.seed, q), trial)
             if res.failed:
                 flips |= 1 << q
-            align = []
-            acc = 0
-            for b in range(k):
-                align.append(acc)
-                if b < len(res.sector_flips):
-                    acc ^= res.sector_flips[b]
-            alignments.append(align)
+            align = itertools.accumulate(res.sector_flips, operator.xor, initial=0)
+            alignments.append(tuple(align))
             if res.corrupted:
                 corrupted_chains += 1
-        key = tuple(tuple(a) for a in alignments)
-        if any(any(a) for a in alignments):
-            if key not in cdfs:
-                eff = _effective_circuit(circuit, assign, alignments)
-                cdfs[key] = _cdf(exact_distribution(eff))
-            cdf = cdfs[key]
-        else:
-            cdf = ideal_cdf
+        key = tuple(alignments)
+        cdf = cdfs.get(key)
+        if cdf is None:
+            eff = _effective_circuit(circuit, assign, alignments)
+            cdf = cdfs[key] = _cdf(exact_distribution(eff))
         s = int(cdf.searchsorted(rng_sample.random(), side="right"))
         samples.append(s ^ flips)
 
@@ -568,10 +562,15 @@ def overhead(
 ) -> OverheadPlan:
     """Parameter plan: k = ceil(c_k log2 N), L from the precision relation,
     with k = O(L) enforced; block size built exactly when possible."""
-    if epsilon >= eps_th:
-        raise ValueError(f"epsilon {epsilon} must be below the threshold {eps_th}")
+    if n_logical < 1:
+        raise ValueError(f"n (logical qubits) must be >= 1, got {n_logical}")
+    if not 0 < epsilon < eps_th:
+        raise ValueError(f"epsilon must lie in (0, eps_th={eps_th}), got {epsilon}")
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
+    for name, c in (("c_k", c_k), ("c_l", c_l), ("c_r", c_r)):
+        if not c > 0:
+            raise ValueError(f"{name} must be > 0, got {c}")
     k = max(1, math.ceil(c_k * math.log2(n_logical)))
     l_precision = math.ceil(c_l * math.log(n_logical / delta) / math.log(eps_th / epsilon))
     L = max(math.ceil(k / c_r), l_precision)

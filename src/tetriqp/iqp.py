@@ -258,11 +258,9 @@ def compile_parallel(c: IqpCircuit) -> ParallelLayout:
 # ---------------------------------------------------------------------------
 
 
-def _phase_units(n: int, t_gates, cs_gates) -> np.ndarray:
-    """Phase exponent (pi/8 units mod 16) per computational basis state."""
-    size = 1 << n
-    u = np.zeros(size, dtype=np.int64)
-    z = np.arange(size, dtype=np.int64)
+def _phase_units(z: np.ndarray, t_gates, cs_gates) -> np.ndarray:
+    """Phase exponent (pi/8 units mod 16) of each basis state in z."""
+    u = np.zeros(len(z), dtype=np.int64)
     for q, t in t_gates:
         u += 2 * t * ((z >> q) & 1)
     for a, b, e in cs_gates:
@@ -288,12 +286,8 @@ def exact_distribution(c: IqpCircuit) -> Distribution:
         raise ResourceCapExceeded(
             f"exact_distribution capped at {EXACT_DISTRIBUTION_CAP} qubits, got {c.n}"
         )
-    u = _phase_units(
-        c.n,
-        [(q, t) for q, t in enumerate(c.t_exponents)],
-        [(i, j, e) for i, j, e in c.cs_exponents],
-    )
-    amps = PHASE_TABLE[u]
+    z = np.arange(1 << c.n, dtype=np.int64)
+    amps = PHASE_TABLE[_phase_units(z, enumerate(c.t_exponents), c.cs_exponents)]
     amps = _fwht(amps)
     probs = np.abs(amps) ** 2 / 4.0**c.n
     probs /= probs.sum()
@@ -309,15 +303,10 @@ def prob_zero(c: IqpCircuit) -> float:
     total = 0.0 + 0.0j
     chunk = 1 << min(c.n, 20)
     size = 1 << c.n
-    t_gates = [(q, t) for q, t in enumerate(c.t_exponents)]
     for start in range(0, size, chunk):
         z = np.arange(start, start + chunk, dtype=np.int64)
-        u = np.zeros(len(z), dtype=np.int64)
-        for q, t in t_gates:
-            u += 2 * t * ((z >> q) & 1)
-        for i, j, e in c.cs_exponents:
-            u += 4 * e * ((z >> i) & 1) * ((z >> j) & 1)
-        counts = np.bincount(u & 15, minlength=16)
+        u = _phase_units(z, enumerate(c.t_exponents), c.cs_exponents)
+        counts = np.bincount(u, minlength=16)
         total += complex(np.dot(counts.astype(np.complex128), PHASE_TABLE))
     return abs(total) ** 2 / 4.0**c.n
 
@@ -377,23 +366,17 @@ def simulate_parallel_exact(layout: ParallelLayout) -> Distribution:
     n, k = layout.n, layout.k
     state = np.zeros(1 << nk, dtype=np.complex128)
     group_mask = (1 << k) - 1
-    # GHZ-basis support: wire bits of group q all equal to g_q
+    # GHZ-basis support: the wire bits of group q all equal bit q of g
+    g = np.arange(1 << n, dtype=np.int64)
     reps = np.zeros(1 << n, dtype=np.int64)
-    for g in range(1 << n):
-        r = 0
-        for q in range(n):
-            if g >> q & 1:
-                r |= group_mask << (q * k)
-        reps[g] = r
-    u = np.zeros(1 << n, dtype=np.int64)
-    for wire, t in layout.t_gates:
-        q = wire // k
-        u += 2 * t * ((np.arange(1 << n) >> q) & 1)
-    for wa, wb, e in layout.cs_gates:
-        qa, qb = wa // k, wb // k
-        z = np.arange(1 << n)
-        u += 4 * e * ((z >> qa) & 1) * ((z >> qb) & 1)
-    state[reps] = PHASE_TABLE[u & 15] / math.sqrt(1 << n)
+    for q in range(n):
+        reps |= ((g >> q) & 1) * (group_mask << (q * k))
+    u = _phase_units(
+        g,
+        [(w // k, t) for w, t in layout.t_gates],
+        [(wa // k, wb // k, e) for wa, wb, e in layout.cs_gates],
+    )
+    state[reps] = PHASE_TABLE[u] / math.sqrt(1 << n)
     amps = _fwht(state) / math.sqrt(1 << nk)
     probs = np.abs(amps) ** 2
     # aggregate wire outcomes: logical bit q = XOR of its k wire bits

@@ -7,9 +7,10 @@ copies glued by the identity pairing, with merge j along facet color j mod 4
 so that consecutive pairings of a middle block share a lattice edge; cells on
 those edges fuse across three blocks and cells on corners across four.
 
-The split used at decode time is software-only: it chooses a product of pair
-stabilizers that minimizes the number of per-block cell values equal to -1,
-bringing every block back near its own tetrahedral code space.
+The split used at decode time is software-only: it applies a product of
+pair stabilizers, merge by merge, that gives each block the cell syndrome of
+its part of the chain decoder's hypothesis, so every block is left with an
+error its own tetrahedral decoder can resolve.
 """
 
 from __future__ import annotations
@@ -281,10 +282,14 @@ class SplitResult:
 class SplitContext:
     """Precomputed structure for the software split of one chain.
 
-    Holds the decoders of the gauge-invariant chain stabilizers (the fused
-    cells) and of each block's cells, shared with every code that has the
-    same checks, and for every merge a dual basis of pair patterns: rho[c]
-    flips exactly the fused pair c (and no other) on both sides of the merge.
+    Stores the decoder of the gauge-invariant chain stabilizers (the fused
+    cells), `chain`, and the cell decoder of each block, `cells`, both shared
+    with every code that has the same checks. For merge j, `merges[j]` holds
+    one entry (row, rho, left, right) per cell of block j fused across that
+    merge, in the order of `merge_cell_maps[j]`: the cell's row in block j,
+    its dual pair pattern rho (a mask over the merge's pairs whose trace
+    parity is odd on this cell and even on every other fused cell), and the
+    outcome flips that rho makes on blocks j and j + 1.
     """
 
     def __init__(self, t: TetrahelixCode):
@@ -292,34 +297,28 @@ class SplitContext:
         self.cells = tuple(
             gf2.SyndromeDecoder.of(b.code.hx.rows, b.code.n) for b in t.blocks
         )
-        # per merge: fused pairs in priority order (summits/edges first, then
-        # bulk, ties by lowest block then cell id) with their dual patterns
-        span_of = {}
-        for cls in t.fused_cells:
-            s = max(b for b, _ in cls) - min(b for b, _ in cls) + 1
-            for member in cls:
-                span_of[member] = s
         self.merges = []
         for j, pr in enumerate(t.pairings):
-            cell_rows = t.blocks[j].code.hx.rows
-            traces = []
-            order = sorted(
-                t.merge_cell_maps[j],
-                key=lambda m: (-span_of[(j, m[0])], j, m[0]),
+            rows = [t.blocks[j].code.hx.rows[ci] for ci, _ in t.merge_cell_maps[j]]
+            traces = gf2.BitMatrix.make(
+                [
+                    gf2.vector_from_support(
+                        pi for pi, (vl, _) in enumerate(pr.pairs) if row >> vl & 1
+                    )
+                    for row in rows
+                ],
+                len(pr.pairs),
             )
-            for ci, _ in order:
-                mask = 0
-                for pi, (vl, _) in enumerate(pr.pairs):
-                    if cell_rows[ci] >> vl & 1:
-                        mask |= 1 << pi
-                traces.append(mask)
-            m = gf2.BitMatrix.make(traces, len(pr.pairs))
-            if gf2.rank(m) != len(traces):
-                raise MergeError(
-                    f"merge {j}: fused traces are linearly dependent"
-                )
-            rho = [gf2.solve(m, 1 << i) for i in range(len(traces))]
-            self.merges.append((order, rho))
+            rhos = gf2.unit_solutions(traces.rows, traces.cols)
+            if any(traces.mul_vec(rho) != 1 << c for c, rho in enumerate(rhos)):
+                raise MergeError(f"merge {j}: fused traces are linearly dependent")
+            entries = []
+            for row, rho in zip(rows, rhos):
+                pairs = [pr.pairs[pi] for pi in gf2.support(rho)]
+                left = gf2.vector_from_support(vl for vl, _ in pairs)
+                right = gf2.vector_from_support(vr for _, vr in pairs)
+                entries.append((row, rho, left, right))
+            self.merges.append(tuple(entries))
 
 
 def get_split_context(t: TetrahelixCode) -> SplitContext:
@@ -331,35 +330,30 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
 
     The frame must not destroy error information, so the gauge sector is
     separated from genuine errors first: the chain's SyndromeDecoder gives a
-    minimum-weight hypothesis for the (gauge-invariant) chain syndrome, the
-    cell values it predicts are subtracted, and the remaining consistent
-    sector is driven to +1 merge by merge through the dual pair patterns of
-    the chain's split context - summit and edge classes first, then bulk.
-    Only pair products are ever applied, so the chain logical parity is
-    untouched; what is left in each block is exactly the per-block image of
-    the hypothesis, which the tetrahedral decoders then resolve.
+    minimum-weight hypothesis for the (gauge-invariant) chain syndrome. Merge
+    by merge, every cell of block j fused across merge j whose value differs
+    from the one the hypothesis predicts gets its dual pair pattern; each
+    pattern flips that cell alone, so the sectors are read first and the
+    patterns XORed in any order. After the last merge, every block has the
+    cell syndrome of its part of the hypothesis, which the tetrahedral
+    decoders then resolve. Only pair products are ever applied, so the chain
+    logical parity is untouched.
     """
     ctx = t.split_context
     k = t.k
     outs = [t.block_slice(outcomes, b) for b in range(k)]
     zhat, _ = ctx.chain.decode(ctx.chain.syndrome(outcomes))
-    zparts = [t.block_slice(zhat, b) for b in range(k)]
 
     frames = []
-    for j, pr in enumerate(t.pairings):
-        order, rho = ctx.merges[j]
-        cell_rows = t.blocks[j].code.hx.rows
+    for j, cells in enumerate(ctx.merges):
+        diff = outs[j] ^ t.block_slice(zhat, j)
         sigma = 0
-        for (ci, _), pattern in zip(order, rho):
-            sector = ((outs[j] ^ zparts[j]) & cell_rows[ci]).bit_count() & 1
-            if sector:
-                sigma ^= pattern
+        for row, rho, left, right in cells:
+            if (diff & row).bit_count() & 1:
+                sigma ^= rho
+                outs[j] ^= left
+                outs[j + 1] ^= right
         frames.append(sigma)
-        for pi in range(len(pr.pairs)):
-            if sigma >> pi & 1:
-                vl, vr = pr.pairs[pi]
-                outs[j] ^= 1 << vl
-                outs[j + 1] ^= 1 << vr
 
     syndromes = tuple(ctx.cells[b].syndrome(outs[b]) for b in range(k))
     return SplitResult(tuple(outs), syndromes, tuple(frames))

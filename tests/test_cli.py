@@ -207,6 +207,27 @@ def test_plan_overhead_refusal():
     ]) == 2
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--eps", "0", "epsilon must lie in (0, eps_th=0.01), got 0.0"),
+    ("--eps", "-0.1", "epsilon must lie in (0, eps_th=0.01), got -0.1"),
+    ("--c-r", "0", "c_r must be > 0"),
+    ("--n", "0", "n (logical qubits) must be >= 1"),
+])
+def test_plan_overhead_bad_input_named(capsys, flag, value, named):
+    args = {"--n": "64", "--delta": "0.01", "--eps": "0.001", "--eps-th": "0.01", flag: value}
+    argv = ["plan", "overhead"] + [x for item in args.items() for x in item]
+    assert run(argv) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_code_t_partition_enumeration_too_large(tmp_path, capsys):
+    p = tmp_path / "c7.json"
+    assert run(["code", "build", "--L", "7", "--out", str(p)]) == 0
+    capsys.readouterr()
+    assert run(["code", "t-partition", "--in", str(p)]) == 2
+    assert "too large to verify partitions" in capsys.readouterr().err
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
     assert run(["code", "--help"]) == 0

@@ -295,6 +295,17 @@ def test_tracked_elimination_equals_solve():
             else:
                 assert x == want
     assert outcomes == {False, True}
+    # on full row rank every unit right-hand side is consistent
+    full_rank = 0
+    while full_rank < 40:
+        ncols = rng.randrange(1, 24)
+        nrows = rng.randrange(1, ncols + 1)
+        rows = gf2.random_rows(rng, nrows, ncols)
+        if gf2.rank(rows, ncols) < nrows:
+            continue
+        full_rank += 1
+        m = mat(rows, ncols)
+        assert gf2.unit_solutions(rows, ncols) == [gf2.solve(m, 1 << f) for f in range(nrows)]
 
 
 def test_cluster_memo_is_capped_and_transparent(monkeypatch, recorded_clusters):

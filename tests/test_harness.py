@@ -141,7 +141,7 @@ def test_effective_circuit_matrices():
 
     def diag_of(circ):
         u = iqp._phase_units(
-            circ.n,
+            np.arange(1 << circ.n),
             list(enumerate(circ.t_exponents)),
             list(circ.cs_exponents),
         )

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -246,3 +247,52 @@ def test_fusion_span_capped_at_four():
     for k in (2, 3, 4, 6):
         t = sg.build_tetrahelix(k, 3)
         assert t.max_fusion_span() <= 4
+
+
+def _noisy_words(t, seed, count):
+    """Random codewords of the chain, every other one under fully random
+    noise and the rest under one to eight random bit flips."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        o = _random_codeword_outcome(t, rng)
+        if i % 2:
+            o ^= rng.getrandbits(t.code.n)
+        else:
+            for _ in range(rng.randrange(1, 9)):
+                o ^= 1 << rng.randrange(t.code.n)
+        out.append(o)
+    return out
+
+
+SPLIT_PINS = {  # sha256 of the split's outputs on _noisy_words(t, 1000k + L, 200)
+    (2, 3): "bcb57feb35201c6cf2a18cd2b06db621813934a5a5403161c8f29418a347a403",
+    (5, 3): "6757193c3d84ea1d8feafd7a52e0c837a752726a2476dbcb352c29eba1f2f7f1",
+    (4, 5): "831e5890995341b6fcc92b59753f37c822a03cd1d674d00862878f60da8f75ea",
+    (2, 7): "c41205de53527f08defa5d9fa85c25cedf60a9c0a40e2eb2ebdfce4081d8f15c",
+}
+
+
+@pytest.mark.parametrize("k,L", SPLIT_PINS)
+def test_split_frame_pinned(k, L):
+    # the split's outputs on fixed words; a refactor of the split keeps them
+    t = sg.build_tetrahelix(k, L)
+    h = hashlib.sha256()
+    for o in _noisy_words(t, 1000 * k + L, 200):
+        res = sg.split_frame(t, o)
+        h.update(repr((res.block_outcomes, res.block_syndromes, res.frame)).encode())
+    assert h.hexdigest() == SPLIT_PINS[k, L]
+
+
+@pytest.mark.parametrize("k,L", [(2, 3), (3, 3), (4, 3), (5, 3), (4, 5)])
+def test_split_leaves_each_block_its_part_of_the_hypothesis(k, L):
+    # after the frame, block b's cell syndrome is that of block b's part of
+    # the chain decoder's hypothesis for the whole outcome word
+    t = sg.build_tetrahelix(k, L)
+    ctx = t.split_context
+    for o in _noisy_words(t, 77 * k + L, 600):
+        zhat, _ = ctx.chain.decode(ctx.chain.syndrome(o))
+        res = sg.split_frame(t, o)
+        assert res.block_syndromes == tuple(
+            ctx.cells[b].syndrome(t.block_slice(zhat, b)) for b in range(k)
+        )
