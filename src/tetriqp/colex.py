@@ -465,7 +465,7 @@ def colex_from_dict(d: dict) -> Colex:
         for i, x in enumerate(need(d, "cells", "colex"))
     )
     faces = tuple(
-        Face(vtuple(x, f"faces[{i}]"), tuple(need(x, "colors", f"faces[{i}]")))
+        Face(vtuple(x, f"faces[{i}]"), tuple(map(int, need(x, "colors", f"faces[{i}]"))))
         for i, x in enumerate(need(d, "faces", "colex"))
     )
     facets = tuple(

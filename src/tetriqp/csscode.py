@@ -10,12 +10,10 @@ never floating point.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from . import gf2
-from .colex import Colex, ColexParseError, X_LOGICAL_FACET, Z_LOGICAL_EDGE, validate_colex
+from .colex import Colex, X_LOGICAL_FACET, Z_LOGICAL_EDGE, validate_colex
 
 ENUM_GENERATOR_CAP = 20  # refuse stabilizer-group enumerations beyond 2^20
 
@@ -347,74 +345,3 @@ def check_cs_gadget(
     return PhaseCheckReport(
         True, residue=sigma, gate="CS" if sigma == 1 else "CSdg"
     )
-
-
-# ---------------------------------------------------------------------------
-# File interchange
-# ---------------------------------------------------------------------------
-
-
-def code_to_dict(code: CssCode, t_partition: TPartition | None = None) -> dict:
-    d = {
-        "n": code.n,
-        "hx": [
-            {"label": str(l) if l is not None else str(i), "bits": gf2.to_bits(r, code.n)}
-            for i, (r, l) in enumerate(
-                itertools.zip_longest(code.hx.rows, code.hx.labels)
-            )
-        ],
-        "hz": [
-            {"label": str(l) if l is not None else str(i), "bits": gf2.to_bits(r, code.n)}
-            for i, (r, l) in enumerate(
-                itertools.zip_longest(code.hz.rows, code.hz.labels)
-            )
-        ],
-        "logical_x": gf2.to_bits(code.logical_x, code.n),
-        "logical_z": gf2.to_bits(code.logical_z, code.n),
-    }
-    if t_partition is not None:
-        d["t_partition"] = {
-            "v_plus": gf2.to_bits(t_partition.v_plus, code.n),
-            "induced_logical": t_partition.induced_logical,
-        }
-    return d
-
-
-def code_from_dict(d: dict) -> tuple[CssCode, TPartition | None]:
-    try:
-        n = int(d["n"])
-        hx_rows = [gf2.from_bits(r["bits"]) for r in d["hx"]]
-        hx_labels = [r["label"] for r in d["hx"]]
-        hz_rows = [gf2.from_bits(r["bits"]) for r in d["hz"]]
-        hz_labels = [r["label"] for r in d["hz"]]
-        lx = gf2.from_bits(d["logical_x"])
-        lz = gf2.from_bits(d["logical_z"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ColexParseError(f"code file: {e}") from e
-    code = CssCode(
-        n,
-        gf2.BitMatrix.make(hx_rows, n, hx_labels),
-        gf2.BitMatrix.make(hz_rows, n, hz_labels),
-        lx,
-        lz,
-    )
-    tp = None
-    if "t_partition" in d:
-        tp = TPartition(
-            n,
-            gf2.from_bits(d["t_partition"]["v_plus"]),
-            d["t_partition"]["induced_logical"],
-        )
-    return code, tp
-
-
-def export_code(code: CssCode, path, t_partition: TPartition | None = None) -> None:
-    Path(path).write_text(json.dumps(code_to_dict(code, t_partition), indent=1))
-
-
-def import_code(path) -> tuple[CssCode, TPartition | None]:
-    try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ColexParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return code_from_dict(d)

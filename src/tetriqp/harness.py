@@ -34,6 +34,7 @@ from . import gf2, surgery
 from .colex import build_tetrahedral_colex, facet_code
 from .decoder import BlockDecoder, FacetDecoder
 from .iqp import (
+    EXACT_DISTRIBUTION_CAP,
     Distribution,
     IqpCircuit,
     exact_distribution,
@@ -88,8 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         """Reject a bad value up front: every field has its default's type
         (an int passes for a float, a bool for nothing), every int is >= 1
-        but the seed, which is >= 0, the epsilon grid rises within [0, 1]
-        and the channel mix is valid."""
+        but the seed, which is >= 0, max_statevector is at most the exact
+        simulator's cap, the epsilon grid rises within [0, 1] and the
+        channel mix is valid."""
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
             if isinstance(default, tuple):
@@ -102,6 +104,11 @@ class ExperimentConfig:
             low = 0 if f.name == "seed" else 1
             if kind is int and min(items) < low:
                 raise ValueError(f"{f.name} must be >= {low}, got {value!r}")
+        if self.max_statevector > EXACT_DISTRIBUTION_CAP:
+            raise ValueError(
+                f"max_statevector must be <= {EXACT_DISTRIBUTION_CAP}, "
+                f"got {self.max_statevector!r}"
+            )
         eps = self.epsilons
         if list(eps) != sorted(eps) or not 0 <= eps[0] <= eps[-1] <= 1:
             raise ValueError(f"epsilons must rise within [0, 1], got {eps!r}")

@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gf2
 from .rng import make_rng
 from .surgery import TetrahelixCode
 
@@ -194,13 +195,11 @@ def propagate(faults: FaultSet, t: TetrahelixCode) -> PropagationResult:
 
 def twirl_mask(x_pattern: int, rng) -> int:
     """Z-flip pattern for an X pattern crossing the diagonal layer: each set
-    bit contributes a Z with probability one half."""
+    bit, lowest first, contributes a Z with probability one half. One scalar
+    draw per set bit: the patterns are mostly one or two bits, for which an
+    array draw costs more than the scalar draws it replaces."""
     out = 0
-    q = 0
-    v = x_pattern
-    while v:
-        if v & 1 and int(rng.integers(0, 2)):
+    for q in gf2.support(x_pattern):
+        if rng.integers(0, 2):
             out |= 1 << q
-        v >>= 1
-        q += 1
     return out

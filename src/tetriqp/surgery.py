@@ -2,10 +2,13 @@
 
 A merge glues two blocks along a facet: the pair (v, phi(v)) of facet
 vertices becomes a weight-2 Z stabilizer, and the X stabilizers whose traces
-on the two facets correspond under phi are fused. Chains use mirror-image
-copies glued by the identity pairing, with merge j along facet color j mod 4
-so that consecutive pairings of a middle block share a lattice edge; cells on
-those edges fuse across three blocks and cells on corners across four.
+on the two facets correspond under phi are fused. Chains are k copies of one
+block glued by the identity pairing (a mirror image of the block is the same
+complex, and the reflection fixes the shared facet pointwise), with merge j
+along facet color j mod 4 so that consecutive pairings of a middle block
+share a lattice edge; cells on those edges fuse across three blocks and cells
+on corners across four. So k and the block colex fix a chain, and a chain
+file holds just those two.
 
 The split used at decode time is software-only: it applies a product of
 pair stabilizers, merge by merge, that gives each block the cell syndrome of
@@ -18,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +46,8 @@ class Block:
 
 @dataclass(frozen=True)
 class Pairing:
-    """Bijection between the merge facets of two consecutive blocks."""
+    """Bijection between the merge facets of blocks j and j + 1 for merge j."""
 
-    block_left: int
-    block_right: int
     facet_color: int
     pairs: tuple[tuple[int, int], ...]  # (vertex in left block, vertex in right block)
 
@@ -58,7 +60,7 @@ class TetrahelixCode:
     fused_cells: tuple[tuple[tuple[int, int], ...], ...]  # classes of (block, cell)
     code: CssCode
     block_logical_x: tuple[int, ...]  # per-block X-bar in global coordinates
-    merge_cell_maps: tuple[tuple[tuple[int, int], ...], ...] = ()  # per merge: (left cell, right cell)
+    merge_cell_maps: tuple[tuple[tuple[int, int], ...], ...]  # per merge: (left cell, right cell)
 
     @property
     def L(self) -> int:
@@ -92,27 +94,13 @@ class TetrahelixCode:
         return max(spans)
 
     def chain_logicals(self) -> tuple[int, int, tuple[int, ...]]:
-        """(X-bar, Z-bar, per-block X-bar_i)."""
-        xbar = 0
-        for x in self.block_logical_x:
-            xbar ^= x
-        return xbar, self.code.logical_z, self.block_logical_x
+        """(X-bar, Z-bar, per-block X-bar_i); X-bar is the XOR of the X-bar_i."""
+        return self.code.logical_x, self.code.logical_z, self.block_logical_x
 
     @functools.cached_property
     def split_context(self) -> "SplitContext":
         """The software-split structure of this chain, built on first use."""
         return SplitContext(self)
-
-
-def mirror(c: Colex) -> tuple[Colex, tuple[int, ...]]:
-    """Mirror image of a colex and the vertex bijection onto it.
-
-    Combinatorially the mirror is the same complex; the reflection fixes the
-    shared facet pointwise, so the bijection is the identity and the mirror's
-    cell colors are unchanged, which is exactly the convention that makes
-    merged X stabilizers share a color.
-    """
-    return c, tuple(range(c.n))
 
 
 def _facet_traces(colex: Colex, facet_color: int):
@@ -139,7 +127,7 @@ def _match_pairing(left: Block, right: Block, facet_color: int, phi) -> tuple[Pa
     mapped = [phi[v] for v in lverts]
     if sorted(mapped) != list(rverts):
         raise MergeError(
-            f"phi does not map the color-{facet_color} facet onto its mirror"
+            f"phi does not map the color-{facet_color} facet onto the right block's"
         )
     pairs = tuple((v, phi[v]) for v in lverts)
     rtrace_to_cell = {t: ci for ci, t in rtraces.items()}
@@ -154,17 +142,17 @@ def _match_pairing(left: Block, right: Block, facet_color: int, phi) -> tuple[Pa
         if left.colex.cells[ci].color != right.colex.cells[partner].color:
             raise MergeError(f"fused cells {ci}/{partner} differ in color")
         cell_map[ci] = partner
-    return Pairing(0, 0, facet_color, pairs), cell_map
+    return Pairing(facet_color, pairs), cell_map
 
 
 def _assemble(blocks, pairings, cell_maps) -> TetrahelixCode:
     k = len(blocks)
-    sizes = [b.code.n for b in blocks]
-    offsets = [sum(sizes[:i]) for i in range(k)]
-    n = sum(sizes)
+    offsets = list(itertools.accumulate((b.code.n for b in blocks[:-1]), initial=0))
+    n = offsets[-1] + blocks[-1].code.n
 
-    def glob(b, v):
-        return 1 << (offsets[b] + v)
+    def glob(b, row):
+        """A block's bit row in global coordinates."""
+        return row << offsets[b]
 
     # union-find over (block, cell)
     parent = {}
@@ -198,49 +186,32 @@ def _assemble(blocks, pairings, cell_maps) -> TetrahelixCode:
     for cls in fused:
         row = 0
         for b, ci in cls:
-            for v in blocks[b].colex.cells[ci].vertices:
-                row ^= glob(b, v)
+            row ^= glob(b, blocks[b].code.hx.rows[ci])
         hx_rows.append(row)
         hx_labels.append(("cells", cls))
 
     hz_rows, hz_labels = [], []
     for b, blk in enumerate(blocks):
-        for fi, f in enumerate(blk.colex.faces):
-            row = 0
-            for v in f.vertices:
-                row ^= glob(b, v)
-            hz_rows.append(row)
+        for fi, row in enumerate(blk.code.hz.rows):
+            hz_rows.append(glob(b, row))
             hz_labels.append(("face", b, fi))
     for j, pr in enumerate(pairings):
         for pi, (vl, vr) in enumerate(pr.pairs):
-            hz_rows.append(glob(j, vl) | glob(j + 1, vr))
+            hz_rows.append(glob(j, 1 << vl) | glob(j + 1, 1 << vr))
             hz_labels.append(("pair", j, pi))
 
-    block_lx = []
-    for b, blk in enumerate(blocks):
-        x = 0
-        for v in gf2.support(blk.code.logical_x):
-            x ^= glob(b, v)
-        block_lx.append(x)
-    lx = 0
-    for x in block_lx:
-        lx ^= x
-    lz = 0
-    for v in gf2.support(blocks[0].code.logical_z):
-        lz ^= glob(0, v)
-
+    block_lx = tuple(glob(b, blk.code.logical_x) for b, blk in enumerate(blocks))
     code = CssCode(
         n,
         gf2.BitMatrix.make(hx_rows, n, hx_labels),
         gf2.BitMatrix.make(hz_rows, n, hz_labels),
-        lx,
-        lz,
-    )
-    pairings = tuple(
-        Pairing(j, j + 1, pr.facet_color, pr.pairs) for j, pr in enumerate(pairings)
+        functools.reduce(operator.xor, block_lx),
+        blocks[0].code.logical_z,
     )
     maps = tuple(tuple(sorted(cmap.items())) for cmap in cell_maps)
-    return TetrahelixCode(k, tuple(blocks), pairings, fused, code, tuple(block_lx), maps)
+    return TetrahelixCode(
+        k, tuple(blocks), tuple(pairings), fused, code, block_lx, maps
+    )
 
 
 def merge(left: Block, right: Block, facet_color: int, phi) -> TetrahelixCode:
@@ -250,21 +221,19 @@ def merge(left: Block, right: Block, facet_color: int, phi) -> TetrahelixCode:
 
 
 def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCode:
-    """Chain of k mirror-image tetrahedral blocks; merge j uses facet j mod 4."""
+    """Chain of k copies of one tetrahedral block; merge j glues facet j mod 4
+    of block j to that of block j + 1 by the identity."""
     if k < 1:
         raise MergeError(f"k must be >= 1, got {k}")
     if block is None:
         from .colex import build_tetrahedral_colex
 
         block = Block.build(build_tetrahedral_colex(L))
-    blocks = [block] * k
-    pairings, cell_maps = [], []
-    for j in range(k - 1):
-        mirrored, phi = mirror(block.colex)
-        pairing, cmap = _match_pairing(block, Block(mirrored, block.code), j % 4, phi)
-        pairings.append(Pairing(j, j + 1, j % 4, pairing.pairs))
-        cell_maps.append(cmap)
-    return _assemble(blocks, pairings, cell_maps)
+    identity = range(block.code.n)
+    merges = [_match_pairing(block, block, j % 4, identity) for j in range(k - 1)]
+    return _assemble(
+        [block] * k, [p for p, _ in merges], [cmap for _, cmap in merges]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,55 +334,36 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
 
 
 def chain_to_dict(t: TetrahelixCode) -> dict:
-    from .csscode import code_to_dict
-
-    return {
-        "k": t.k,
-        "L": t.L,
-        "block_colex": colex_to_dict(t.blocks[0].colex),
-        "pairings": [
-            {
-                "block_left": p.block_left,
-                "block_right": p.block_right,
-                "facet_color": p.facet_color,
-                "pairs": [list(x) for x in p.pairs],
-            }
-            for p in t.pairings
-        ],
-        "fused_cells": [[list(m) for m in cls] for cls in t.fused_cells],
-        "code": code_to_dict(t.code),
-        "block_logical_x": [gf2.to_bits(x, t.code.n) for x in t.block_logical_x],
-        "merge_cell_maps": [[list(m) for m in cmap] for cmap in t.merge_cell_maps],
-    }
+    """A chain as a file holds it: k and the block colex, the rest of the
+    chain being derived from these by `build_tetrahelix`."""
+    return {"k": t.k, "block_colex": colex_to_dict(t.blocks[0].colex)}
 
 
-def chain_from_dict(d: dict) -> TetrahelixCode:
-    from .csscode import code_from_dict
+def chain_from_dict(d) -> TetrahelixCode:
+    """Rebuild a chain from `chain_to_dict`'s two keys through
+    `build_tetrahelix`, so an imported chain is consistent by construction.
 
+    A missing or other key (such as the derived fields that earlier versions
+    wrote), a k that is not an int >= 1, or a colex that cannot be read or
+    merged raises ColexParseError. The block is built unchecked, so a colex
+    that breaks the coloring axioms is left for `validate_colex` to report.
+    """
+    if not isinstance(d, dict):
+        raise ColexParseError("chain file: not a JSON object")
+    keys = {"k", "block_colex"}
+    for what, names in (("unknown", set(d) - keys), ("missing", keys - set(d))):
+        if names:
+            raise ColexParseError(f"chain file: {what} keys: {', '.join(sorted(names))}")
+    k = d["k"]
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ColexParseError(f"chain file: k must be an int >= 1, got {k!r}")
+    if not isinstance(d["block_colex"], dict):
+        raise ColexParseError("chain file: block_colex is not a JSON object")
     try:
-        k = int(d["k"])
-        block_colex = colex_from_dict(d["block_colex"])
-        code, _ = code_from_dict(d["code"])
-        pairings = tuple(
-            Pairing(
-                int(p["block_left"]),
-                int(p["block_right"]),
-                int(p["facet_color"]),
-                tuple(tuple(x) for x in p["pairs"]),
-            )
-            for p in d["pairings"]
-        )
-        fused = tuple(
-            tuple(tuple(m) for m in cls) for cls in d["fused_cells"]
-        )
-        block_lx = tuple(gf2.from_bits(s) for s in d["block_logical_x"])
-        maps = tuple(
-            tuple(tuple(m) for m in cmap) for cmap in d["merge_cell_maps"]
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        colex = colex_from_dict(d["block_colex"])
+        return build_tetrahelix(k, colex.L, Block.build(colex, check=False))
+    except (KeyError, TypeError, ValueError) as e:  # MergeError is a ValueError
         raise ColexParseError(f"chain file: {e}") from e
-    block = Block.build(block_colex, check=False)
-    return TetrahelixCode(k, (block,) * k, pairings, fused, code, block_lx, maps)
 
 
 def export_chain(t: TetrahelixCode, path) -> None:

@@ -37,6 +37,59 @@ def test_code_check_corrupted(tmp_path, chain_file):
     assert run(["code", "check", "--in", str(bad)]) == 1
 
 
+def test_code_check_corrupted_chain(tmp_path):
+    # a miscoloured cell in a k=2 chain's block colex still merges (both
+    # copies carry it) and is reported as a failed check, not bad input
+    p = tmp_path / "chain.json"
+    assert run(["code", "build", "--L", "3", "--k", "2", "--out", str(p)]) == 0
+    d = json.loads(p.read_text())
+    d["block_colex"]["cells"][0]["color"] = d["block_colex"]["cells"][1]["color"]
+    p.write_text(json.dumps(d))
+    assert run(["code", "check", "--in", str(p)]) == 1
+
+
+def _set(key, value):
+    def edit(d):
+        d[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, named", [
+    # a pairing the file states for itself, as earlier versions wrote, is
+    # refused rather than trusted (here with its first two pairs swapped)
+    (_set("pairings", [{"facet_color": 0, "pairs": [[1, 3], [3, 1]]}]),
+     "unknown keys: pairings"),
+    (_set("L", 3), "unknown keys: L"),
+    (_set("k", 0), "k must be"),
+    (_set("k", -1), "k must be"),
+    (_set("k", "2"), "k must be"),
+    (_set("k", True), "k must be"),
+    (lambda d: d.pop("k"), "missing keys: k"),
+    (_set("block_colex", [1, 2]), "block_colex is not a JSON object"),
+    (lambda d: d["block_colex"].pop("facets"), "'facets'"),
+    (lambda d: d["block_colex"]["faces"][0].update(colors=[[1], 2]), "not 'list'"),
+])
+def test_chain_file_bad_input(tmp_path, capsys, chain_file, edit, named):
+    # a chain file holds k and the block colex only: anything else, and
+    # files from versions that wrote derived fields, is bad input (exit 2)
+    d = json.loads(chain_file.read_text())
+    edit(d)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    for cmd in (["code", "check"], ["code", "distance", "--basis", "Z"]):
+        capsys.readouterr()
+        assert run([*cmd, "--in", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read chain file" in err and named in err
+
+
+def test_chain_file_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert run(["code", "check", "--in", str(bad)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
 def test_code_check_unreadable(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("{broken")
@@ -144,6 +197,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ({"epsilon": 1.5}, "epsilon"), ({"Ls": 3}, "Ls"), ({"ks": []}, "ks"),
     ({"ks": [1, "2"]}, "ks"), ({"epsilons": [0.05, 0.01]}, "epsilons"),
     ({"epsilons": [0.01, 1.5]}, "epsilons"), ({"mix_meas": 0.5}, "mix"),
+    ({"max_statevector": 30}, "max_statevector"),
 ])
 def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
     # a bad value is bad input (exit 2, the field named), not a traceback
@@ -189,6 +243,17 @@ def test_e2e(tmp_path, capsys):
     out = tmp_path / "tv.csv"
     assert run(["e2e", "--config", str(cfg), "--out", str(out)]) == 0
     assert out.read_text().startswith("N,epsilon")
+
+
+def test_e2e_statevector_cap(tmp_path, capsys):
+    # n above the exact simulator's cap is refused up front, naming the
+    # field that let it through, instead of crashing in the simulator
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "n": 25, "max_statevector": 30, "gamma": 0.0, "seed": 1, "trials": 2,
+    }))
+    assert run(["e2e", "--config", str(cfg), "--out", str(tmp_path / "tv.csv")]) == 2
+    assert "max_statevector" in capsys.readouterr().err
 
 
 def test_plan_overhead(capsys):

@@ -126,29 +126,6 @@ def test_cs_gadget_broken_partition(code3):
     assert not rep.passed
 
 
-def test_code_file_round_trip(tmp_path, code3):
-    tp = cc.find_t_partition(code3)
-    p = tmp_path / "code.json"
-    cc.export_code(code3, p, tp)
-    code_b, tp_b = cc.import_code(p)
-    assert code_b.n == code3.n
-    assert code_b.hx.rows == code3.hx.rows
-    assert code_b.hz.rows == code3.hz.rows
-    assert code_b.logical_x == code3.logical_x
-    assert code_b.logical_z == code3.logical_z
-    assert tp_b.v_plus == tp.v_plus
-    p2 = tmp_path / "code2.json"
-    cc.export_code(code_b, p2, tp_b)
-    assert p.read_bytes() == p2.read_bytes()
-
-
-def test_code_file_malformed(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text('{"n": 3}')
-    with pytest.raises(cx.ColexParseError):
-        cc.import_code(p)
-
-
 def test_kernel_dimension_l3(code3):
     assert len(gf2.kernel_basis(code3.hz.rows, 15)) == 5
     assert len(gf2.kernel_basis(code3.hx.rows, 15)) == 11

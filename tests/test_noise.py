@@ -5,7 +5,7 @@ import pytest
 
 from tetriqp import noise
 from tetriqp.noise import NoiseModel, propagate, sample_iid_faults, stage_layout
-from tetriqp.rng import make_rng
+from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
 
 
@@ -154,6 +154,33 @@ def test_twirl_monte_carlo_average():
         p_plus = abs(amp) ** 2
         plus += p_plus
     assert plus / trials == pytest.approx(0.5, abs=1e-2)
+
+
+def _twirl_mask_per_bit(x_pattern, rng):
+    """One scalar coin per bit position that is set, lowest first, scanning
+    every position: the oracle for noise.twirl_mask's walk over the set bits."""
+    out, q, v = 0, 0, x_pattern
+    while v:
+        if v & 1 and int(rng.integers(0, 2)):
+            out |= 1 << q
+        v >>= 1
+        q += 1
+    return out
+
+
+def test_twirl_mask_matches_per_bit_draws():
+    # the walk over set bits gives the position scan's coins on the trial
+    # streams the simulator twirls from, and on a make_rng stream
+    pick = np.random.default_rng(11)
+    streams = TrialStreams()
+    for trial in range(300):
+        n = int(pick.integers(5, 701))
+        x = int.from_bytes(pick.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+        x |= 1 << (n - 1)
+        a = noise.twirl_mask(x, streams((7, 2), trial, 1))
+        assert a == _twirl_mask_per_bit(x, streams((7, 2), trial, 1))
+        b = noise.twirl_mask(x, make_rng((7, trial)))
+        assert b == _twirl_mask_per_bit(x, make_rng((7, trial)))
 
 
 def test_twirl_mask_determinism():
