@@ -21,17 +21,16 @@ The offsets a_i are fixed to (1, 2, 3, 0) mod 4, which makes boundary facet i
 avoid color i, and their total shift sets the linear size: L = 3, 5, 7 give
 the [[15,1,3]], [[65,1,5]] and [[175,1,7]] codes.
 
-Externally supplied colexes are accepted through the JSON interchange format;
-everything downstream works from the public Colex data alone.
+Externally supplied colexes are accepted as the `block_colex` of a chain
+file (see `colex_from_dict` and `surgery.chain_from_dict`); everything
+downstream works from the public Colex data alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import defaultdict
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import gf2
 
@@ -421,7 +420,7 @@ def facet_code(c: Colex, facet_color: int) -> FacetCode:
 
 
 # ---------------------------------------------------------------------------
-# File interchange
+# Interchange: the JSON-ready dict a chain file holds as its block_colex
 # ---------------------------------------------------------------------------
 
 
@@ -478,15 +477,3 @@ def colex_from_dict(d: dict) -> Colex:
         raise ColexParseError("facets: need exactly one facet per missing color 0..3")
     return Colex(int(L), len(verts), cells, faces, facets)
 
-
-def export_colex(c: Colex, path) -> None:
-    Path(path).write_text(json.dumps(colex_to_dict(c), indent=1, sort_keys=True))
-
-
-def import_colex(path) -> Colex:
-    text = Path(path).read_text()
-    try:
-        d = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ColexParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
-    return colex_from_dict(d)

@@ -47,16 +47,6 @@ def to_bits(v: int, n: int) -> str:
     return "".join("1" if v >> i & 1 else "0" for i in range(n))
 
 
-def from_bits(s: str) -> int:
-    v = 0
-    for i, ch in enumerate(s):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid bit character {ch!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """Immutable labeled GF(2) matrix; rows are packed ints over `cols` columns."""

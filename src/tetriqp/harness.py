@@ -1,13 +1,18 @@
 """Monte Carlo orchestration: logical error rates, threshold scans,
 end-to-end total-variation experiments, and the overhead calculator.
 
-Every trial draws from its own Philox counter streams (seed, trial, tag)
-(see `rng`). The seed is an int or a spawn tuple: (seed, qubit) for the
+Trials run in batches of `noise.BATCH`. Batch b draws the faults of all its
+trials from the Philox counter stream (seed, b, 0) and their twirl coins
+from (seed, b, 1) (see `rng`); trial t is trial t % BATCH of batch
+t // BATCH. The seed is an int or a spawn tuple: (seed, qubit) for the
 chains of `end_to_end`, (seed, k, L, epsilon index) for the points of
-`threshold_scan`. Results are bit-identical for a fixed seed however trials
-are chunked across workers, and distinct runs, qubits and grid points never
-share a stream. The twirl of the X pattern crossing the diagonal layer is
-drawn by `ChainSim.run_trial`, one coin per qubit, and nowhere else.
+`threshold_scan`. Workers get whole batches, and a run that ends inside a
+batch draws that batch whole and keeps its first trials. So results are
+bit-identical for a fixed seed whatever the worker count, trial t is the
+same in every run that reaches it, and distinct runs, qubits and grid
+points never share a stream. The twirl of the X pattern crossing the diagonal layer is
+drawn by `ChainSim.run_trial`, one coin per qubit, and nowhere else. Only
+trials with a fault reach `run_trial`.
 
 A trial fails when the decoded logical of its noisy outcome flips f is 1.
 That is the event that the noisy outcome decodes differently
@@ -42,7 +47,8 @@ from .iqp import (
     sample_circuit,
 )
 from .noise import (
-    NoiseModel, PropagationResult, propagate, sample_iid_faults, stage_layout, twirl_mask,
+    BATCH, FaultSet, NoiseModel, PropagationResult, propagate, sample_iid_faults,
+    stage_layout, twirl_mask,
 )
 from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
@@ -156,7 +162,7 @@ class TrialResult:
 
 
 class ChainSim:
-    """Reusable simulator for one (k, L) chain. Its trials draw from one
+    """Reusable simulator for one (k, L) chain. Its batches draw from one
     shared, re-keyed generator, so one thread at a time may run them."""
 
     def __init__(self, t: TetrahelixCode):
@@ -188,17 +194,27 @@ class ChainSim:
                 o ^= v
         return o
 
-    def run_trial(self, model: NoiseModel, seed, trial: int) -> TrialResult:
-        """One sampled trial: faults from stream (seed, trial, 0), then
-        `correct`, then one twirl coin per qubit of the X pattern crossing
-        the diagonal layer from stream (seed, trial, 1), then the final
-        decode. `seed` is an int or a spawn tuple (see `rng`)."""
-        faults = sample_iid_faults(model, self.layout, self._streams(seed, trial, 0))
-        if not faults:  # what correct and _decode give: every decoder maps 0 to 0
-            return self._fault_free
+    def run_batch(self, model: NoiseModel, seed, b: int, size: int = BATCH) -> list[TrialResult]:
+        """The first `size` trials of batch b: the faults of all BATCH trials
+        from stream (seed, b, 0), then `run_trial` for each trial with a
+        fault, in trial order, all drawing twirl coins from stream
+        (seed, b, 1). The trials without a fault share one result. `seed`
+        is an int or a spawn tuple (see `rng`)."""
+        results = [self._fault_free] * size
+        faults = sample_iid_faults(model, self.layout, self._streams(seed, b, 0))
+        if len(faults):
+            twirl_rng = self._streams(seed, b, 1)  # the fault draws are done
+            for trial, trial_faults in faults.by_trial(size):
+                results[trial] = self.run_trial(trial_faults, twirl_rng)
+        return results
+
+    def run_trial(self, faults: FaultSet, twirl_rng) -> TrialResult:
+        """One trial with at least one fault: `correct`, then one twirl
+        coin from `twirl_rng` per qubit of the X pattern crossing the
+        diagonal layer, then the final decode."""
         x_diff, flips, sector, prep_nc = self.correct(propagate(faults, self.t))
         if x_diff:
-            flips ^= twirl_mask(x_diff, self._streams(seed, trial, 1))
+            flips ^= twirl_mask(x_diff, twirl_rng)
         return TrialResult(
             failed=flips != 0 and self._decode(flips) != 0,
             sector_flips=sector,
@@ -282,27 +298,30 @@ class RateEstimate:
 
 
 def _count_chunk(args, records: list | None = None) -> tuple[int, int, int, int]:
-    """(failures, merge_nc, prep_nc, corrupted) over trials [start, stop);
-    appends one trace record per trial to `records` when given."""
+    """(failures, merge_nc, prep_nc, corrupted) over trials [start, stop),
+    with start a multiple of BATCH; appends one trace record per trial to
+    `records` when given."""
     L, k, model, seed, start, stop = args
     sim = ChainSim.build(k, L)
     fails = merge_nc = prep_nc = corrupt = 0
-    for trial in range(start, stop):
-        res = sim.run_trial(model, seed, trial)
-        fails += res.failed
-        merge_nc += res.merge_noncorrectable
-        prep_nc += res.prep_noncorrectable
-        corrupt += res.corrupted
-        if records is not None:
-            records.append(
-                {
-                    "trial": trial,
-                    "n_faults": res.n_faults,
-                    "sector_flips": list(res.sector_flips),
-                    "prep_noncorrectable": res.prep_noncorrectable,
-                    "failed": res.failed,
-                }
-            )
+    for first in range(start, stop, BATCH):
+        results = sim.run_batch(model, seed, first // BATCH, min(BATCH, stop - first))
+        for trial, res in enumerate(results, first):
+            if res is not sim._fault_free:
+                fails += res.failed
+                merge_nc += res.merge_noncorrectable
+                prep_nc += res.prep_noncorrectable
+                corrupt += res.corrupted
+            if records is not None:
+                records.append(
+                    {
+                        "trial": trial,
+                        "n_faults": res.n_faults,
+                        "sector_flips": list(res.sector_flips),
+                        "prep_noncorrectable": res.prep_noncorrectable,
+                        "failed": res.failed,
+                    }
+                )
     return fails, merge_nc, prep_nc, corrupt
 
 
@@ -327,22 +346,27 @@ def logical_error_rate(
     """Monte Carlo estimate of P[the decoded logical of a trial's outcome
     flips is 1], the probability that the noisy outcome decodes differently
     from the noiseless one (see the module docstring). `seed` is an int
-    or a spawn tuple; trial t draws from streams (seed, t, tag).
+    or a spawn tuple; batch b of BATCH trials draws from streams
+    (seed, b, tag), and each worker runs whole batches.
 
     trace_path, when given (single-worker runs), writes one JSON line per
-    trial with the fault count, per-merge sector flips, and the outcome.
+    trial, in trial order, fault-free trials included, with the fields
+    `trial`, `n_faults`, `sector_flips` (per merge), `prep_noncorrectable`
+    and `failed`.
     """
     if L > max_l or k > max_k:
         raise ValueError(f"(L={L}, k={k}) exceeds caps (max_l={max_l}, max_k={max_k})")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     records = None if trace_path is None else []
-    if records is not None or workers <= 1 or trials < 2 * workers:
+    batches = -(-trials // BATCH)
+    workers = min(workers, batches)
+    if records is not None or workers <= 1:
         counts = _count_chunk((L, k, model, seed, 0, trials), records)
     else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
+        bounds = np.linspace(0, batches, workers + 1, dtype=int) * BATCH
         jobs = [
-            (L, k, model, seed, int(a), int(b))
+            (L, k, model, seed, int(a), min(int(b), trials))
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
         ChainSim.build(k, L)  # forked workers inherit it instead of rebuilding
@@ -479,9 +503,10 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
 
     Per trial, every logical qubit q runs one chain (prepare, merge, ideal
     diagonal layer with injected faults, measure, decode) under the spawn
-    key (seed, q). Sector errors from wrong merge fixes rotate the effective
-    logical circuit; decode errors flip sampled bits. Outcomes are drawn
-    from make_rng((seed, 0xE2E)), the bootstrap from (seed, 0xB007).
+    key (seed, q), a batch of BATCH trials at a time for every qubit. Sector
+    errors from wrong merge fixes rotate the effective logical circuit;
+    decode errors flip sampled bits. Outcomes are drawn in trial order from
+    make_rng((seed, 0xE2E)), the bootstrap from (seed, 0xB007).
     """
     from .iqp import schedule_depth
 
@@ -498,28 +523,34 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     model = config.noise_model()
 
     # alignments -> CDF of the effective circuit; all aligned is the ideal one
-    cdfs = {((0,) * k,) * n: _cdf(ideal)}
+    aligned = (0,) * k
+    cdfs = {(aligned,) * n: _cdf(ideal)}
     samples = []
     corrupted_chains = 0
     rng_sample = make_rng((config.seed, 0xE2E))
-    for trial in range(config.trials):
-        flips = 0
-        alignments = []
-        for q in range(n):
-            res = sim.run_trial(model, (config.seed, q), trial)
-            if res.failed:
-                flips |= 1 << q
-            align = itertools.accumulate(res.sector_flips, operator.xor, initial=0)
-            alignments.append(tuple(align))
-            if res.corrupted:
-                corrupted_chains += 1
-        key = tuple(alignments)
-        cdf = cdfs.get(key)
-        if cdf is None:
-            eff = _effective_circuit(circuit, assign, alignments)
-            cdf = cdfs[key] = _cdf(exact_distribution(eff))
-        s = int(cdf.searchsorted(rng_sample.random(), side="right"))
-        samples.append(s ^ flips)
+    for first in range(0, config.trials, BATCH):
+        size = min(BATCH, config.trials - first)
+        batches = [sim.run_batch(model, (config.seed, q), first // BATCH, size) for q in range(n)]
+        for chains in zip(*batches):
+            flips = 0
+            alignments = []
+            for q, res in enumerate(chains):
+                if res is sim._fault_free:
+                    alignments.append(aligned)
+                    continue
+                if res.failed:
+                    flips |= 1 << q
+                align = itertools.accumulate(res.sector_flips, operator.xor, initial=0)
+                alignments.append(tuple(align))
+                if res.corrupted:
+                    corrupted_chains += 1
+            key = tuple(alignments)
+            cdf = cdfs.get(key)
+            if cdf is None:
+                eff = _effective_circuit(circuit, assign, alignments)
+                cdf = cdfs[key] = _cdf(exact_distribution(eff))
+            s = int(cdf.searchsorted(rng_sample.random(), side="right"))
+            samples.append(s ^ flips)
 
     tv, lo, hi = empirical_tv(samples, ideal, seed=(config.seed, 0xB007))
     eps_bar = corrupted_chains / (config.trials * n)

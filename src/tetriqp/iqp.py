@@ -104,20 +104,28 @@ def _misra_gries(n: int, edges) -> dict[tuple[int, int], int]:
         return {}
     delta = max(len(a) for a in adj.values())
     palette = range(1, delta + 2)
-
-    def used(x):
-        return {c for c in adj[x].values() if c is not None}
+    nbrs = {x: sorted(a) for x, a in adj.items()}
+    # color -> number of x's edges with it, kept by set_color; the count can
+    # reach 2 only halfway through a path inversion
+    used: dict[int, dict[int, int]] = {q: {} for q in range(n)}
 
     def free(x):
-        u = used(x)
+        u = used[x]
         return next(c for c in palette if c not in u)
 
     def is_free(x, c):
-        return c not in used(x)
+        return c not in used[x]
 
     def set_color(a, b, c):
-        adj[a][b] = c
-        adj[b][a] = c
+        for x, y in ((a, b), (b, a)):
+            u, old = used[x], adj[x][y]
+            if old is not None:
+                if u[old] == 1:
+                    del u[old]
+                else:
+                    u[old] -= 1
+            u[c] = u.get(c, 0) + 1
+            adj[x][y] = c
 
     def invert_cd_path(u, c, d):
         # c is free on u, so the maximal cd-alternating path has u as an
@@ -126,7 +134,7 @@ def _misra_gries(n: int, edges) -> dict[tuple[int, int], int]:
         path = []
         while True:
             nxt = None
-            for y in sorted(adj[x]):
+            for y in nbrs[x]:
                 if adj[x][y] == want and y != prev:
                     nxt = y
                     break
@@ -145,7 +153,7 @@ def _misra_gries(n: int, edges) -> dict[tuple[int, int], int]:
         grown = True
         while grown:
             grown = False
-            for w in sorted(adj[u]):
+            for w in nbrs[u]:
                 col = adj[u][w]
                 if w in in_fan or col is None:
                     continue

@@ -10,10 +10,14 @@ Pauli; they are replaced by X plus a Z with probability one half (Pauli
 twirl). Propagation is deterministic and leaves that coin to the trial: it
 reports the X pattern crossing the layer, and ChainSim.run_trial draws one
 coin per qubit of it with `twirl_mask`.
+
+Faults are sampled a batch of BATCH trials at a time, over the flattened
+(BATCH, locations) grid, from the positions of its faulty cells alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -67,6 +71,12 @@ class StageLayout:
     def size(self) -> int:
         return len(self.locations)
 
+    @cached_property
+    def fault_table(self) -> list[tuple[tuple, str]]:
+        """Every (location, label) pair: fault 4 * i + j is location i with
+        label _LABELS[j]."""
+        return [(loc, label) for loc in self.locations for label in _LABELS]
+
 
 def stage_layout(t: TetrahelixCode) -> StageLayout:
     locs = []
@@ -100,28 +110,65 @@ class FaultSet:
         return tuple(loc for loc, _ in self.faults)
 
 
-_NO_FAULTS = FaultSet(())
+BATCH = 256  # trials per batch: one fault stream and one twirl stream each
 
 
-def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> FaultSet:
-    """Each location is faulty independently with probability epsilon.
+@dataclass(frozen=True, eq=False)
+class BatchFaults:
+    """The faults of one batch of BATCH trials, in (trial, location) order:
+    fault i hits location positions[i] % m of trial positions[i] // m, with
+    m = layout.size, and carries label _LABELS[labels[i]]."""
 
-    `seed` is anything make_rng takes. Labels are drawn only when some
-    location is faulty; the generator serves this one call, so skipping them
-    for a fault-free draw changes no result.
+    layout: StageLayout = field(repr=False)
+    positions: np.ndarray
+    labels: np.ndarray
+
+    def __len__(self):
+        return len(self.positions)
+
+    def by_trial(self, stop: int = BATCH):
+        """(trial, FaultSet) for every faulty trial below `stop`, in order."""
+        m, table = self.layout.size, self.layout.fault_table
+        n = self.positions.searchsorted(stop * m)
+        trials, where = np.divmod(self.positions[:n], m)
+        starts = np.flatnonzero(np.diff(trials, prepend=-1)).tolist()
+        codes = (4 * where + self.labels[:n]).tolist()
+        trials = trials.tolist()
+        for a, b in zip(starts, starts[1:] + [n]):
+            yield trials[a], FaultSet(tuple(map(table.__getitem__, codes[a:b])))
+
+
+def _bernoulli_positions(rng, p: float, size: int) -> np.ndarray:
+    """Sorted positions of the ones among `size` i.i.d. Bernoulli(p) draws.
+    The gap from one 1 to the next is geometric(p), so the draws cost
+    O(size * p) time and memory instead of O(size)."""
+    if p == 0:
+        return np.empty(0, dtype=np.int64)
+    chunk = int(size * p + 6 * math.sqrt(size * p) + 16)  # one round, nearly always
+    parts, last = [], -1
+    while True:
+        # a gap above size leaves the grid from anywhere; clipping there keeps
+        # the sums in int64 (numpy returns 2^63 - 1 for a gap beyond it)
+        pos = last + np.minimum(rng.geometric(p, chunk), size + 1).cumsum()
+        if pos[-1] >= size:
+            parts.append(pos[: pos.searchsorted(size)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])
+
+
+def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> BatchFaults:
+    """The faults of one batch: each location of each of BATCH trials is
+    faulty independently with probability epsilon, and each fault draws its
+    label from the channel mix.
+
+    `seed` is anything make_rng takes. The generator first draws the faulty
+    positions of the (BATCH, layout.size) grid, then one label per fault.
     """
     rng = make_rng(seed)
-    m = layout.size
-    faulty = rng.random(m) < model.epsilon
-    if not faulty.any():
-        return _NO_FAULTS
-    u_label = rng.random(m)
-    idx = np.flatnonzero(faulty)
-    labels = model.cuts.searchsorted(u_label[idx], side="right")
-    locs = layout.locations
-    return FaultSet(tuple(
-        (locs[i], _LABELS[lab]) for i, lab in zip(idx.tolist(), labels.tolist())
-    ))
+    positions = _bernoulli_positions(rng, model.epsilon, BATCH * layout.size)
+    labels = model.cuts.searchsorted(rng.random(len(positions)), side="right")
+    return BatchFaults(layout, positions, labels)
 
 
 @dataclass
@@ -195,7 +242,9 @@ def propagate(faults: FaultSet, t: TetrahelixCode) -> PropagationResult:
 
 def twirl_mask(x_pattern: int, rng) -> int:
     """Z-flip pattern for an X pattern crossing the diagonal layer: each set
-    bit, lowest first, contributes a Z with probability one half. One scalar
+    bit, lowest first, contributes a Z with probability one half. The
+    simulator passes its batch's twirl stream (seed, batch, 1), which the
+    batch's faulty trials draw from in trial order. One scalar
     draw per set bit: the patterns are mostly one or two bits, for which an
     array draw costs more than the scalar draws it replaces."""
     out = 0

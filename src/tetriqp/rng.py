@@ -5,12 +5,12 @@ A seed is a nonnegative int, its own Philox key, or a spawn tuple
 With the root below 2^128 and the entries below 2^32, distinct tuples feed
 distinct entropy words: (s,), (s, 0) and (s, 0, 0) are distinct keys.
 
-make_rng(seed) runs Philox under the seed's key from counter 0. The trial
-stream (seed, trial, tag) runs it under the same key from counter
-(0, trial, tag, 1). Philox counts blocks in word 0, so no two trial streams
+make_rng(seed) runs Philox under the seed's key from counter 0. The batch
+stream (seed, batch, tag) runs it under the same key from counter
+(0, batch, tag, 1). Philox counts blocks in word 0, so no two batch streams
 overlap, and none overlaps make_rng's stream (whose word 3 is 0), before
-2^64 blocks. A trial's draws depend only on (seed, trial, tag), never on
-how trials are chunked across workers or interleaved.
+2^64 blocks. A batch's draws depend only on (seed, batch, tag), never on
+how batches are chunked across workers or interleaved.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def make_rng(seed) -> np.random.Generator:
 
 
 class TrialStreams:
-    """The trial streams (seed, trial, tag), from one Philox re-keyed in
+    """The batch streams (seed, batch, tag), from one Philox re-keyed in
     place. The returned Generator is shared: it is valid until the next call."""
 
     MAX_KEYS = 64  # keys kept: above end_to_end's one seed per qubit (at most 24)
@@ -49,7 +49,7 @@ class TrialStreams:
         # built on first use, not with the simulator: numpy's first Philox costs RSS
         self._bitgen = self._gen = self._state = None
 
-    def __call__(self, seed, trial: int, tag: int) -> np.random.Generator:
+    def __call__(self, seed, batch: int, tag: int) -> np.random.Generator:
         key = self._keys.get(seed)
         if key is None:
             key = philox_key(seed)
@@ -63,6 +63,6 @@ class TrialStreams:
             self._gen = np.random.Generator(self._bitgen)
         state = self._state["state"]
         state["key"] = key
-        state["counter"][1:3] = trial, tag
+        state["counter"][1:3] = batch, tag
         self._bitgen.state = self._state
         return self._gen

@@ -62,10 +62,6 @@ class TetrahelixCode:
     block_logical_x: tuple[int, ...]  # per-block X-bar in global coordinates
     merge_cell_maps: tuple[tuple[tuple[int, int], ...], ...]  # per merge: (left cell, right cell)
 
-    @property
-    def L(self) -> int:
-        return self.blocks[0].colex.L
-
     @functools.cached_property
     def block_offsets(self) -> tuple[int, ...]:
         """Global index of each block's first qubit."""

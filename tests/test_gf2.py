@@ -145,11 +145,6 @@ def test_bitmatrix_validation():
         BitMatrix((0b1,), 1, ("a", "b"))
 
 
-def test_bits_round_trip():
-    for v in (0, 1, 0b1011):
-        assert gf2.from_bits(gf2.to_bits(v, 6)) == v
-
-
 
 def test_syndrome_decoder_table_and_search_paths():
     rng = random.Random(21)

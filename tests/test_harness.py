@@ -6,7 +6,7 @@ import pytest
 
 from tetriqp import gf2, harness, iqp, surgery
 from tetriqp.harness import ChainSim, ExperimentConfig
-from tetriqp.noise import NoiseModel
+from tetriqp.noise import BATCH, NoiseModel, sample_iid_faults
 from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
 
@@ -24,8 +24,21 @@ def test_trial_determinism():
     sim1 = ChainSim.build(2, 3)
     sim2 = ChainSim(build_tetrahelix(2, 3))
     model = NoiseModel(0.05)
-    for t in range(50):
-        assert sim1.run_trial(model, 9, t) == sim2.run_trial(model, 9, t)
+    for b in range(2):
+        assert sim1.run_batch(model, 9, b) == sim2.run_batch(model, 9, b)
+
+
+def test_batch_prefix_and_fault_free_results():
+    # a truncated batch is the whole batch's prefix, and every trial
+    # without a fault is the one shared fault-free result
+    sim = ChainSim.build(2, 3)
+    model = NoiseModel(0.004)
+    whole = sim.run_batch(model, 3, 1)
+    assert len(whole) == BATCH
+    assert sim.run_batch(model, 3, 1, 100) == whole[:100]
+    free = [r for r in whole if r.n_faults == 0]
+    assert free and all(r is sim._fault_free for r in free)
+    assert all(r.n_faults > 0 for r in whole if r is not sim._fault_free)
 
 
 @pytest.mark.parametrize(
@@ -52,7 +65,7 @@ def test_decode_affine_on_noiseless_outcomes(k, L):
 
 def test_failed_equals_reference_comparison(monkeypatch):
     # the comparison against a noiseless reference drawn from stream
-    # (seed, trial, 2), which trials no longer draw, gives the same failures
+    # (seed, trial, 2), which trials do not draw, gives the same failures
     checked = 0
     for k, L, eps in ((1, 3, 0.03), (2, 3, 0.03), (4, 3, 0.02), (1, 5, 0.02)):
         sim = ChainSim.build(k, L)
@@ -65,9 +78,11 @@ def test_failed_equals_reference_comparison(monkeypatch):
             return decode(flips)
 
         monkeypatch.setattr(sim, "_decode", decode_and_compare)
-        for trial in range(150):
+        faults = sample_iid_faults(model, sim.layout, make_rng((seed, 0)))
+        twirl_rng = make_rng((seed, 1))
+        for trial, trial_faults in faults.by_trial(150):
             reference.clear()
-            res = sim.run_trial(model, seed, trial)
+            res = sim.run_trial(trial_faults, twirl_rng)
             assert res.failed == (reference == [True])
             checked += bool(reference)
         monkeypatch.undo()
@@ -94,6 +109,18 @@ def test_worker_reproducibility():
     for workers in (2, 3):
         other = harness.logical_error_rate(3, 1, model, 400, seed=11, workers=workers)
         assert other == base
+
+
+@pytest.mark.parametrize("trials", [600, 700])
+def test_workers_split_whole_batches(trials):
+    # 700 is not a multiple of BATCH: the last batch is drawn whole and cut
+    model = NoiseModel(0.03)
+    runs = [
+        harness.logical_error_rate(3, 2, model, trials, seed=19, workers=workers)
+        for workers in (1, 2, 3)
+    ]
+    assert runs[0].trials == trials
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_parallel_run_builds_the_simulator_in_the_parent():
@@ -211,9 +238,9 @@ def test_criterion_11_runs_share_no_stream(monkeypatch):
 
     chain_trials = []
 
-    def record_trial(self, model, seed, trial):
-        chain_trials.append((seed, trial))
-        return self._fault_free
+    def record_batch(self, model, seed, b, size=BATCH):
+        chain_trials.append((seed, b, size))
+        return [self._fault_free] * size
 
     starts = []
 
@@ -224,17 +251,17 @@ def test_criterion_11_runs_share_no_stream(monkeypatch):
             return gen
         return wrapped
 
-    monkeypatch.setattr(ChainSim, "run_trial", record_trial)
+    monkeypatch.setattr(ChainSim, "run_batch", record_batch)
     monkeypatch.setattr(harness, "make_rng", recording(harness.make_rng))
     monkeypatch.setattr(iqp, "make_rng", recording(iqp.make_rng))
     for n, trials, seed in ((2, 6000, 42), (4, 4000, 44), (8, 2500, 47)):
         harness.end_to_end(ExperimentConfig(
             n=n, epsilon=0.015, gamma=1.0, trials=trials, seed=seed, max_k=8
         ))
-    assert len(chain_trials) == 2 * 6000 + 4 * 4000 + 8 * 2500
+    assert sum(size for _, _, size in chain_trials) == 2 * 6000 + 4 * 4000 + 8 * 2500
     assert len(starts) == 3 * 3
     streams = TrialStreams()
-    starts += [start(streams(s, t, tag)) for s, t in chain_trials for tag in (0, 1)]
+    starts += [start(streams(s, b, tag)) for s, b, _ in chain_trials for tag in (0, 1)]
     assert len(set(starts)) == len(starts)
 
 
@@ -398,7 +425,29 @@ def test_trace_output(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 50
     rec = json.loads(lines[0])
-    assert {"trial", "n_faults", "sector_flips", "failed"} <= set(rec)
+    assert set(rec) == {"trial", "n_faults", "sector_flips", "prep_noncorrectable", "failed"}
     # trace path must not change the estimate
     est2 = harness.logical_error_rate(3, 2, NoiseModel(0.05), 50, seed=5)
-    assert (est.failures, est.rate) == (est2.failures, est2.rate)
+    assert est == est2
+
+
+def _trace(tmp_path, trials):
+    out = tmp_path / f"trace{trials}.jsonl"
+    est = harness.logical_error_rate(3, 2, NoiseModel(0.004), trials, seed=23, trace_path=out)
+    return est, [json.loads(line) for line in out.read_text().splitlines()]
+
+
+def test_trace_has_one_record_per_trial_in_order(tmp_path):
+    # fault-free trials included: at this epsilon many trials have no fault
+    est, records = _trace(tmp_path, 300)
+    assert [r["trial"] for r in records] == list(range(300))
+    assert any(r["n_faults"] == 0 for r in records)
+    assert sum(r["failed"] for r in records) == est.failures
+    assert sum(r["prep_noncorrectable"] for r in records) == est.prep_noncorrectable
+
+
+def test_trace_is_a_prefix_of_a_longer_run(tmp_path):
+    # trial t depends on (seed, t // BATCH, t % BATCH) only
+    _, short = _trace(tmp_path, 300)
+    _, long = _trace(tmp_path, 600)
+    assert short == long[:300]

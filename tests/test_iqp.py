@@ -126,6 +126,108 @@ def test_schedule_bound_and_conflict_free():
                 slots.add((q, step))
 
 
+def _misra_gries_reference(n, edges):
+    """The coloring before the used-color sets were kept incrementally: it
+    rebuilds a vertex's used colors on every query. The oracle for
+    iqp._misra_gries, which must give the same coloring."""
+    adj = {q: {} for q in range(n)}
+    for i, j in edges:
+        adj[i][j] = None
+        adj[j][i] = None
+    if not edges:
+        return {}
+    delta = max(len(a) for a in adj.values())
+    palette = range(1, delta + 2)
+
+    def used(x):
+        return {c for c in adj[x].values() if c is not None}
+
+    def free(x):
+        u = used(x)
+        return next(c for c in palette if c not in u)
+
+    def is_free(x, c):
+        return c not in used(x)
+
+    def set_color(a, b, c):
+        adj[a][b] = c
+        adj[b][a] = c
+
+    def invert_cd_path(u, c, d):
+        x, want, prev = u, d, None
+        path = []
+        while True:
+            nxt = None
+            for y in sorted(adj[x]):
+                if adj[x][y] == want and y != prev:
+                    nxt = y
+                    break
+            if nxt is None:
+                break
+            path.append((x, nxt))
+            prev, x = x, nxt
+            want = c if want == d else d
+        for a, b in path:
+            set_color(a, b, c if adj[a][b] == d else d)
+
+    for u, v in sorted(edges):
+        fan = [v]
+        in_fan = {v}
+        grown = True
+        while grown:
+            grown = False
+            for w in sorted(adj[u]):
+                col = adj[u][w]
+                if w in in_fan or col is None:
+                    continue
+                if is_free(fan[-1], col):
+                    fan.append(w)
+                    in_fan.add(w)
+                    grown = True
+                    break
+        c = free(u)
+        d = free(fan[-1])
+        if c != d:
+            invert_cd_path(u, c, d)
+        w_idx = None
+        for i, w in enumerate(fan):
+            if not is_free(w, d):
+                continue
+            ok = True
+            for tpos in range(1, i + 1):
+                cw = adj[u][fan[tpos]]
+                if cw is None or not is_free(fan[tpos - 1], cw):
+                    ok = False
+                    break
+            if ok:
+                w_idx = i
+                break
+        for i in range(w_idx):
+            set_color(u, fan[i], adj[u][fan[i + 1]])
+        set_color(u, fan[w_idx], d)
+
+    return {(min(a, b), max(a, b)): c for a in adj for b, c in adj[a].items() if a < b}
+
+
+def test_misra_gries_equals_reference_coloring():
+    # random graphs from sparse to complete, in shuffled edge order, and a
+    # graph shaped like the n=1024 circuits of test_schedule_depth_scaling
+    # (each CS pair with probability log2(n) / n)
+    rng = random.Random(5)
+    for _ in range(120):
+        n = rng.randrange(2, 25)
+        p = rng.choice((0.05, 0.2, 0.5, 1.0))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        rng.shuffle(edges)
+        got = iqp._misra_gries(n, edges)
+        assert got == _misra_gries_reference(n, edges)
+        assert len(got) == len(edges)
+    n = 1024
+    upper = np.triu(np.random.default_rng(6).random((n, n)) < math.log2(n) / n, 1)
+    edges = [tuple(e) for e in np.argwhere(upper).tolist()]
+    assert iqp._misra_gries(n, edges) == _misra_gries_reference(n, edges)
+
+
 def test_schedule_depth_scaling():
     # average depth grows with N like log N (ratio test on gamma=1 samples)
     means = []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tetriqp import noise
-from tetriqp.noise import NoiseModel, propagate, sample_iid_faults, stage_layout
+from tetriqp.noise import BATCH, NoiseModel, propagate, sample_iid_faults, stage_layout
 from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
 
@@ -39,35 +39,101 @@ def test_layout_structure(chain2, layout):
 
 
 def test_epsilon_extremes(layout):
-    assert len(sample_iid_faults(NoiseModel(0.0), layout, 1)) == 0
-    assert len(sample_iid_faults(NoiseModel(1.0), layout, 1)) == layout.size
+    none = sample_iid_faults(NoiseModel(0.0), layout, 1)
+    assert len(none) == 0 and list(none.by_trial()) == []
+    # epsilon 1: every location of every trial, each exactly once
+    full = sample_iid_faults(NoiseModel(1.0), layout, 1)
+    assert len(full) == BATCH * layout.size
+    assert full.positions.tolist() == list(range(BATCH * layout.size))
+    trials = list(full.by_trial())
+    assert [t for t, _ in trials] == list(range(BATCH))
+    for _, fs in trials:
+        assert fs.locations() == layout.locations
+
+
+def test_tiny_epsilon_stays_in_range(layout):
+    # geometric gaps far beyond the grid must not overflow into it
+    for seed in range(20):
+        assert len(sample_iid_faults(NoiseModel(1e-300), layout, seed)) == 0
+
+
+def test_positions_continue_past_the_first_chunk():
+    # gaps that fall short of the grid are followed by further chunks
+    class UnitGaps:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    got = noise._bernoulli_positions(UnitGaps(), 0.001, 1000)
+    assert got.tolist() == list(range(1000))
+
+
+def _trial_sets(faults, stop=BATCH):
+    return [(t, fs.faults) for t, fs in faults.by_trial(stop)]
 
 
 def test_sampler_determinism(layout):
     model = NoiseModel(0.13)
     a = sample_iid_faults(model, layout, (5, 77, 0))
     b = sample_iid_faults(model, layout, (5, 77, 0))
-    assert a == b
+    assert _trial_sets(a) == _trial_sets(b)
     c = sample_iid_faults(model, layout, (5, 78, 0))
-    assert a != c
+    assert _trial_sets(a) != _trial_sets(c)
+
+
+def test_by_trial_stops_at_the_truncation(layout):
+    faults = sample_iid_faults(NoiseModel(0.02), layout, (5, 3))
+    whole = _trial_sets(faults)
+    for stop in (0, 1, 17, 100, BATCH):
+        assert _trial_sets(faults, stop) == [(t, f) for t, f in whole if t < stop]
+
+
+def test_batch_sampler_statistics(layout):
+    # ~2000 batches at a non-uniform mix: every location is faulty with
+    # frequency epsilon, per-trial fault counts are Binomial(m, epsilon) in
+    # mean and variance, and labels follow the mix; all within 5 sd
+    model = NoiseModel(0.05, mix_x=0.1, mix_z=0.2, mix_y=0.3, mix_meas=0.4)
+    m, batches = layout.size, 2000
+    eps, n = model.epsilon, batches * BATCH
+    streams = TrialStreams()
+    per_location = np.zeros(m, dtype=np.int64)
+    per_trial = np.zeros(n, dtype=np.int64)
+    labels = np.zeros(4, dtype=np.int64)
+    for b in range(batches):
+        faults = sample_iid_faults(model, layout, streams(8, b, 0))
+        trial, where = np.divmod(faults.positions, m)
+        assert np.all(np.diff(faults.positions) > 0)
+        per_location += np.bincount(where, minlength=m)
+        per_trial[b * BATCH:(b + 1) * BATCH] = np.bincount(trial, minlength=BATCH)
+        labels += np.bincount(faults.labels, minlength=4)
+    sd = math.sqrt(eps * (1 - eps) / n)
+    assert np.all(np.abs(per_location / n - eps) < 5 * sd)
+    mean, var = m * eps, m * eps * (1 - eps)
+    assert abs(per_trial.mean() - mean) < 5 * math.sqrt(var / n)
+    centred = per_trial - per_trial.mean()
+    mu4 = float((centred**4).mean())
+    assert abs(per_trial.var() - var) < 5 * math.sqrt((mu4 - var**2) / n)
+    total = int(labels.sum())
+    for count, share in zip(labels, (0.1, 0.2, 0.3, 0.4)):
+        assert abs(count - total * share) < 5 * math.sqrt(total * share * (1 - share))
 
 
 def test_local_stochastic_bound(layout):
     # i.i.d. locations: Pr[A subset F] = eps^|A| exactly; bound within 3 sigma
     model = NoiseModel(0.2)
     rng = make_rng(123)
-    trials = 20000
+    batches = 80
+    trials = batches * BATCH
     subsets = []
     for _ in range(40):
         size = int(rng.integers(1, 4))
         subsets.append(tuple(int(x) for x in rng.choice(layout.size, size, replace=False)))
     hits = [0] * len(subsets)
-    for t in range(trials):
-        fl = sample_iid_faults(model, layout, (9, t))
-        idx = {layout.locations.index(loc) for loc, _ in fl.faults}
-        for s_i, sub in enumerate(subsets):
-            if all(i in idx for i in sub):
-                hits[s_i] += 1
+    for b in range(batches):
+        for _, fl in sample_iid_faults(model, layout, (9, b)).by_trial():
+            idx = {layout.locations.index(loc) for loc, _ in fl.faults}
+            for s_i, sub in enumerate(subsets):
+                if all(i in idx for i in sub):
+                    hits[s_i] += 1
     for sub, h in zip(subsets, hits):
         p = model.epsilon ** len(sub)
         sigma = math.sqrt(p * (1 - p) / trials)
@@ -104,8 +170,8 @@ def test_propagate_layer_twirl(chain2):
 
 def test_propagate_linearity(chain2, layout):
     model = NoiseModel(0.15)
-    f1 = sample_iid_faults(model, layout, (1, 0))
-    f2 = sample_iid_faults(model, layout, (2, 0))
+    f1 = dict(sample_iid_faults(model, layout, (1, 0)).by_trial())[0]
+    f2 = dict(sample_iid_faults(model, layout, (2, 0)).by_trial())[0]
     locs1 = set(f1.locations())
     joint = noise.FaultSet(
         tuple(sorted(

@@ -213,6 +213,13 @@ def test_chain_file_round_trip(tmp_path):
         assert sg.import_chain(p) == t
 
 
+def test_import_chain_invalid_json(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text("{not json")
+    with pytest.raises(cx.ColexParseError, match="line"):
+        sg.import_chain(p)
+
+
 def test_per_block_t_residues(chain3):
     # depth-1 logical T per tetrahedron: per-block residue checks pass
     tp = cc.TPartition(chain3.code.n, 0)
