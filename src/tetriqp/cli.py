@@ -174,7 +174,7 @@ def cmd_mc(args) -> int:
     if args.what == "prep":
         rows = []
         for L in cfg.Ls:
-            row = harness.prep_scan(L, cfg.noise_model(), cfg.trials, cfg.seed)
+            row = harness.prep_scan(L, cfg.noise_model(), cfg.trials, cfg.seed, workers)
             rows.append(row)
             _err(
                 f"L={L}: tetra_nc={row.tetra_rate:.3g} {row.tetra_ci}, "
@@ -194,8 +194,6 @@ def cmd_mc(args) -> int:
             cfg.trials,
             cfg.seed,
             workers=workers,
-            max_l=cfg.max_l,
-            max_k=cfg.max_k,
             trace_path=args.trace,
         )
         print(

@@ -131,10 +131,6 @@ class TPartition:
     v_plus: int  # bit mask
     induced_logical: str = "T"  # "T" (residue 1) or "Tdg" (residue 7)
 
-    @property
-    def v_minus(self) -> int:
-        return ((1 << self.n) - 1) ^ self.v_plus
-
     def signed_weight(self, v: int) -> int:
         """sum_i c_i v_i with c_i = +1 on v_plus and -1 on v_minus."""
         return 2 * (v & self.v_plus).bit_count() - v.bit_count()
@@ -149,11 +145,6 @@ class PhaseCheckReport:
 
     def __bool__(self):
         return self.passed
-
-
-def _independent_generators(rows, ncols):
-    red, _ = gf2.rref(rows, ncols)
-    return red
 
 
 def _enumerate_group(gens):
@@ -186,7 +177,7 @@ def check_diagonal_transversality(
     gate condition for chain codes.
     """
     mask = block if block is not None else (1 << code.n) - 1
-    gens = _independent_generators(code.hx.rows, code.n)
+    gens = gf2.rref(code.hx.rows, code.n)[0]
     r = None
     for s in _enumerate_group(gens):
         if p.signed_weight(s & mask) % 8 != 0:
@@ -211,7 +202,7 @@ def find_t_partition(code: CssCode) -> TPartition | None:
     check_diagonal_transversality; None means these candidates failed, not
     that no partition exists.
     """
-    gens = _independent_generators(code.hx.rows, code.n)
+    gens = gf2.rref(code.hx.rows, code.n)[0]
     if len(gens) > ENUM_GENERATOR_CAP:
         raise EnumerationTooLarge(
             f"stabilizer group of {len(gens)} generators is too large to verify "
@@ -315,7 +306,7 @@ def check_cs_gadget(
     if (code_a.n, code_a.hx.rows) != (code_b.n, code_b.hx.rows):
         raise ValueError("codes must be structurally identical")
     mask = block if block is not None else (1 << code_a.n) - 1
-    gens = _independent_generators(code_a.hx.rows, code_a.n)
+    gens = gf2.rref(code_a.hx.rows, code_a.n)[0]
     group = list(_enumerate_group(gens))
     sigma = None
     for v0 in group:

@@ -15,11 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def weight(v: int) -> int:
-    """Hamming weight of a bit row."""
-    return v.bit_count()
-
-
 def dot(a: int, b: int) -> int:
     """GF(2) inner product."""
     return (a & b).bit_count() & 1

@@ -10,9 +10,11 @@ chains of `end_to_end`, (seed, k, L, epsilon index) for the points of
 batch draws that batch whole and keeps its first trials. So results are
 bit-identical for a fixed seed whatever the worker count, trial t is the
 same in every run that reaches it, and distinct runs, qubits and grid
-points never share a stream. The twirl of the X pattern crossing the diagonal layer is
-drawn by `ChainSim.run_trial`, one coin per qubit, and nowhere else. Only
-trials with a fault reach `run_trial`.
+points never share a stream. Only trials with a fault reach
+`ChainSim.run_trial`, as the codes of their faults; their propagation is the
+XOR of the effects that `noise.stage_layout` precomputes per chain. The
+twirl of the X pattern crossing the diagonal layer is drawn by `run_trial`,
+one coin per qubit, and nowhere else.
 
 A trial fails when the decoded logical of its noisy outcome flips f is 1.
 That is the event that the noisy outcome decodes differently
@@ -46,10 +48,7 @@ from .iqp import (
     empirical_tv,
     sample_circuit,
 )
-from .noise import (
-    BATCH, FaultSet, NoiseModel, PropagationResult, propagate, sample_iid_faults,
-    stage_layout, twirl_mask,
-)
+from .noise import BATCH, NoiseModel, propagate, sample_iid_faults, stage_layout, twirl_mask
 from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
 
@@ -96,7 +95,8 @@ class ExperimentConfig:
         """Reject a bad value up front: every field has its default's type
         (an int passes for a float, a bool for nothing), every int is >= 1
         but the seed, which is >= 0, max_statevector is at most the exact
-        simulator's cap, the epsilon grid rises within [0, 1] and the
+        simulator's cap, L and every Ls entry are at most max_l, k and every
+        ks entry at most max_k, the epsilon grid rises within [0, 1] and the
         channel mix is valid."""
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
@@ -115,6 +115,10 @@ class ExperimentConfig:
                 f"max_statevector must be <= {EXACT_DISTRIBUTION_CAP}, "
                 f"got {self.max_statevector!r}"
             )
+        for name, cap in (("L", "max_l"), ("Ls", "max_l"), ("k", "max_k"), ("ks", "max_k")):
+            value, limit = getattr(self, name), getattr(self, cap)
+            if max(value if isinstance(value, tuple) else (value,)) > limit:
+                raise ValueError(f"config field {name} must be <= {cap}={limit}, got {value!r}")
         eps = self.epsilons
         if list(eps) != sorted(eps) or not 0 <= eps[0] <= eps[-1] <= 1:
             raise ValueError(f"epsilons must rise within [0, 1], got {eps!r}")
@@ -208,11 +212,12 @@ class ChainSim:
                 results[trial] = self.run_trial(trial_faults, twirl_rng)
         return results
 
-    def run_trial(self, faults: FaultSet, twirl_rng) -> TrialResult:
-        """One trial with at least one fault: `correct`, then one twirl
-        coin from `twirl_rng` per qubit of the X pattern crossing the
-        diagonal layer, then the final decode."""
-        x_diff, flips, sector, prep_nc = self.correct(propagate(faults, self.t))
+    def run_trial(self, faults, twirl_rng) -> TrialResult:
+        """One trial with at least one fault, given as its fault codes (see
+        noise.StageLayout): `correct` the XOR of their effects, then draw one
+        twirl coin from `twirl_rng` per qubit of the X pattern crossing the
+        diagonal layer, then decode the final outcome flips."""
+        x_diff, flips, sector, prep_nc = self.correct(propagate(faults, self.layout))
         if x_diff:
             flips ^= twirl_mask(x_diff, twirl_rng)
         return TrialResult(
@@ -223,34 +228,35 @@ class ChainSim:
             n_faults=len(faults),
         )
 
-    def correct(self, prop: PropagationResult) -> tuple[int, int, tuple[int, ...], int]:
+    def correct(self, effect: int) -> tuple[int, int, tuple[int, ...], int]:
         """The deterministic part of a trial: decode each preparation and
-        merge of the propagated faults and apply the fixes.
+        merge of a propagated fault effect and apply the fixes. Every field
+        of `effect` is read through the layout's (shift, mask) pairs.
 
         Returns (x_diff, outcome_flips, sector, prep_nc): the X pattern that
         crosses the diagonal layer (still to be twirled), the outcome flips
         before the twirl, the per-merge residual logical misalignments and
         the number of blocks whose preparation residual acts as the X logical.
         """
-        t = self.t
-        x_diff = prop.layer_x
+        t, lay = self.t, self.layout
+        shift, mask = lay.layer_x
+        x_diff = effect >> shift & mask
         prep_nc = 0
         residuals = []
-        for b in range(t.k):
-            dec = self.block_decoders[b]
-            e_d = prop.prep_data_x.get(b, 0)
-            e_m = prop.prep_meas.get(b, 0)
+        for dec, (xs, xm), (ms, mm) in zip(self.block_decoders, lay.prep_x, lay.prep_meas):
+            e_d = effect >> xs & xm
+            e_m = effect >> ms & mm
             syndrome = dec.faces.syndrome(e_d) ^ e_m if (e_d or e_m) else 0
             xhat, _ = dec.decode_prep(syndrome)
             r = e_d ^ xhat
             residuals.append(r)
-            x_diff ^= r << t.block_offset(b)
+            x_diff ^= r << xs  # prep_x is in chain coordinates
             if (r & dec.lz).bit_count() & 1:
                 prep_nc += 1
 
         sector = []
-        for j, pr in enumerate(t.pairings):
-            flips = prop.pair_flips.get(j, 0)
+        for j, (pr, (ps, pm)) in enumerate(zip(t.pairings, lay.pair_flips)):
+            flips = effect >> ps & pm
             word = flips
             for p, (vl, vr) in enumerate(pr.pairs):
                 bit = (residuals[j] >> vl & 1) ^ (residuals[j + 1] >> vr & 1)
@@ -263,7 +269,8 @@ class ChainSim:
             if xhat:
                 x_diff ^= t.block_logical_x[j]
             sector.append(xhat ^ xtrue)
-        return x_diff, prop.outcome_flips, tuple(sector), prep_nc
+        shift, mask = lay.outcome_flips
+        return x_diff, effect >> shift & mask, tuple(sector), prep_nc
 
     def _decode(self, outcomes: int) -> int:
         """Decoded chain logical of an outcome word: split it, decode each
@@ -297,13 +304,14 @@ class RateEstimate:
     corrupted: int = 0
 
 
-def _count_chunk(args, records: list | None = None) -> tuple[int, int, int, int]:
+def _count_chunk(args) -> tuple[tuple[int, int, int, int], list | None]:
     """(failures, merge_nc, prep_nc, corrupted) over trials [start, stop),
-    with start a multiple of BATCH; appends one trace record per trial to
-    `records` when given."""
-    L, k, model, seed, start, stop = args
+    with start a multiple of BATCH, and one trace record per trial when
+    `trace` is set (else None)."""
+    L, k, model, seed, start, stop, trace = args
     sim = ChainSim.build(k, L)
     fails = merge_nc = prep_nc = corrupt = 0
+    records = [] if trace else None
     for first in range(start, stop, BATCH):
         results = sim.run_batch(model, seed, first // BATCH, min(BATCH, stop - first))
         for trial, res in enumerate(results, first):
@@ -322,7 +330,7 @@ def _count_chunk(args, records: list | None = None) -> tuple[int, int, int, int]
                         "failed": res.failed,
                     }
                 )
-    return fails, merge_nc, prep_nc, corrupt
+    return (fails, merge_nc, prep_nc, corrupt), records
 
 
 def write_trace(path, records) -> None:
@@ -339,43 +347,40 @@ def logical_error_rate(
     trials: int,
     seed,
     workers: int = 1,
-    max_l: int = 7,
-    max_k: int = 8,
     trace_path=None,
 ) -> RateEstimate:
     """Monte Carlo estimate of P[the decoded logical of a trial's outcome
     flips is 1], the probability that the noisy outcome decodes differently
     from the noiseless one (see the module docstring). `seed` is an int
     or a spawn tuple; batch b of BATCH trials draws from streams
-    (seed, b, tag), and each worker runs whole batches.
+    (seed, b, tag), and each worker runs whole batches. L and k are capped
+    at the ExperimentConfig defaults, max_l and max_k.
 
-    trace_path, when given (single-worker runs), writes one JSON line per
-    trial, in trial order, fault-free trials included, with the fields
-    `trial`, `n_faults`, `sector_flips` (per merge), `prep_noncorrectable`
-    and `failed`.
+    trace_path, when given, writes one JSON line per trial, in trial order,
+    fault-free trials included, with the fields `trial`, `n_faults`,
+    `sector_flips` (per merge), `prep_noncorrectable` and `failed`.
     """
+    max_l, max_k = ExperimentConfig.max_l, ExperimentConfig.max_k
     if L > max_l or k > max_k:
         raise ValueError(f"(L={L}, k={k}) exceeds caps (max_l={max_l}, max_k={max_k})")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    records = None if trace_path is None else []
     batches = -(-trials // BATCH)
-    workers = min(workers, batches)
-    if records is not None or workers <= 1:
-        counts = _count_chunk((L, k, model, seed, 0, trials), records)
+    workers = max(1, min(workers, batches))
+    bounds = np.linspace(0, batches, workers + 1, dtype=int) * BATCH
+    jobs = [
+        (L, k, model, seed, int(a), min(int(b), trials), trace_path is not None)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+    if workers <= 1:
+        parts = list(map(_count_chunk, jobs))
     else:
-        bounds = np.linspace(0, batches, workers + 1, dtype=int) * BATCH
-        jobs = [
-            (L, k, model, seed, int(a), min(int(b), trials))
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ]
         ChainSim.build(k, L)  # forked workers inherit it instead of rebuilding
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_chunk, jobs))
-        counts = tuple(sum(col) for col in zip(*parts))
-    if records is not None:
-        write_trace(trace_path, records)
-    fails, merge_nc, prep_nc, corrupt = counts
+    if trace_path is not None:
+        write_trace(trace_path, (rec for _, records in parts for rec in records))
+    fails, merge_nc, prep_nc, corrupt = (sum(col) for col in zip(*(c for c, _ in parts)))
     lo, hi = wilson_interval(fails, trials)
     return RateEstimate(
         L, k, model.epsilon, trials, fails, fails / trials, lo, hi,
@@ -643,10 +648,10 @@ class PrepScanRow:
     merge_ci: tuple[float, float]
 
 
-def prep_scan(L: int, model: NoiseModel, trials: int, seed: int) -> PrepScanRow:
+def prep_scan(L: int, model: NoiseModel, trials: int, seed: int, workers: int = 1) -> PrepScanRow:
     """Estimate the noncorrectable preparation and merge rates empirically,
     from the two preparations and the merge of k=2 chain trials."""
-    est = logical_error_rate(L, 2, model, trials, seed)
+    est = logical_error_rate(L, 2, model, trials, seed, workers=workers)
     tetra_nc, merge_nc = est.prep_noncorrectable, est.merge_noncorrectable
     t_lo, t_hi = wilson_interval(tetra_nc, 2 * trials)
     m_lo, m_hi = wilson_interval(merge_nc, trials)

@@ -244,9 +244,6 @@ class ParallelLayout:
     def wires(self) -> int:
         return self.n * self.k
 
-    def wire(self, qubit: int, step: int) -> int:
-        return qubit * self.k + (step - 1)
-
 
 def compile_parallel(c: IqpCircuit) -> ParallelLayout:
     k, assign = schedule_depth(c)

@@ -5,11 +5,15 @@ instance saturates the local stochastic bound Pr[A within faults] = eps^|A|),
 and each fault draws a label from the channel mix. A Pauli label on a
 measurement location, or a flip label on a data location, acts trivially.
 
+The effect of each (location, label) fault is worked out once per chain, by
+`stage_layout`, as one int of bit fields (see StageLayout), and the
+propagation of a trial's faults is the XOR of their effects.
+
 X-type faults sitting at the depth-1 diagonal layer do not propagate as
 Pauli; they are replaced by X plus a Z with probability one half (Pauli
-twirl). Propagation is deterministic and leaves that coin to the trial: it
-reports the X pattern crossing the layer, and ChainSim.run_trial draws one
-coin per qubit of it with `twirl_mask`.
+twirl). Propagation is deterministic and leaves that coin to the trial: the
+effect holds the X pattern crossing the layer, and ChainSim.run_trial draws
+one coin per qubit of it with `twirl_mask`.
 
 Faults are sampled a batch of BATCH trials at a time, over the flattened
 (BATCH, locations) grid, from the positions of its faulty cells alone.
@@ -17,6 +21,7 @@ Faults are sampled a batch of BATCH trials at a time, over the flattened
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -63,51 +68,83 @@ _LABELS = ("X", "Z", "Y", "flip")
 @dataclass(frozen=True)
 class StageLayout:
     """Ordered space-time fault locations of the prepare/merge/layer/measure
-    pipeline for one chain."""
+    pipeline for one chain, and the effect of every fault.
+
+    Fault code 4 * i + j is location i with label _LABELS[j]; effects[code]
+    is its deterministic effect, one int whose fields are, lowest bit first:
+    the X pattern entering the preparation round (chain coordinates, so
+    block b's pattern starts at bit t.block_offset(b)), the preparation face
+    flips block by block, the merge pair flips merge by merge, the X pattern
+    at the diagonal layer and the Z-equivalent flips of the final outcomes.
+    Each field is a (shift, mask) pair, read as `effect >> shift & mask`:
+    prep_x and prep_meas per block, pair_flips per merge. The effect of a
+    set of faults is the XOR of their effects.
+    """
 
     locations: tuple[tuple, ...]
+    effects: tuple[int, ...]
+    prep_x: tuple[tuple[int, int], ...]
+    prep_meas: tuple[tuple[int, int], ...]
+    pair_flips: tuple[tuple[int, int], ...]
+    layer_x: tuple[int, int]
+    outcome_flips: tuple[int, int]
 
     @property
     def size(self) -> int:
         return len(self.locations)
 
-    @cached_property
-    def fault_table(self) -> list[tuple[tuple, str]]:
-        """Every (location, label) pair: fault 4 * i + j is location i with
-        label _LABELS[j]."""
-        return [(loc, label) for loc in self.locations for label in _LABELS]
-
 
 def stage_layout(t: TetrahelixCode) -> StageLayout:
-    locs = []
-    for b in range(t.k):
-        for q in range(t.blocks[b].code.n):
-            locs.append((PREP_DATA, b, q))
-    for b in range(t.k):
-        for f in range(len(t.blocks[b].colex.faces)):
-            locs.append((PREP_MEAS, b, f))
-    for j, pr in enumerate(t.pairings):
-        for p in range(len(pr.pairs)):
-            locs.append((MERGE_MEAS, j, p))
+    """The locations of the chain `t` and the effect of each fault there.
+
+    Z faults commute with the diagonal layer and flip one outcome bit. X
+    faults before the layer enter the preparation round; at the layer they
+    join the X pattern that the trial twirls; after the layer they leave
+    Hadamard-basis outcomes unchanged. A Y fault acts as X and Z. Measurement
+    flips stay local to their round. A Pauli on a measurement location or a
+    flip on a data location acts trivially.
+    """
     n = t.code.n
+    sizes = [blk.code.n for blk in t.blocks]
+    faces = [len(blk.colex.faces) for blk in t.blocks]
+    pairs = [len(pr.pairs) for pr in t.pairings]
+    face_at = list(itertools.accumulate(faces, initial=n))
+    pair_at = list(itertools.accumulate(pairs, initial=face_at[-1]))
+    layer_at = pair_at[-1]
+    outcome_at = layer_at + n
+    locs, effects = [], []
+
+    def add(loc, x=0, z=0, flip=0):
+        locs.append(loc)
+        effects.extend((x, z, x ^ z, flip))  # the order of _LABELS
+
+    for b, size in enumerate(sizes):
+        for q in range(size):
+            g = t.qubit(b, q)
+            add((PREP_DATA, b, q), x=1 << g, z=1 << outcome_at + g)
+    for b, count in enumerate(faces):
+        for f in range(count):
+            add((PREP_MEAS, b, f), flip=1 << face_at[b] + f)
+    for j, count in enumerate(pairs):
+        for p in range(count):
+            add((MERGE_MEAS, j, p), flip=1 << pair_at[j] + p)
     for q in range(n):
-        locs.append((LAYER, q))
+        add((LAYER, q), x=1 << layer_at + q, z=1 << outcome_at + q)
     for q in range(n):
-        locs.append((FINAL_MEAS, q))
-    return StageLayout(tuple(locs))
+        add((FINAL_MEAS, q), flip=1 << outcome_at + q)
 
+    def fields(starts, widths):
+        return tuple((at, (1 << w) - 1) for at, w in zip(starts, widths))
 
-@dataclass(frozen=True)
-class FaultSet:
-    """Sampled faults: (location, label) per faulty location."""
-
-    faults: tuple[tuple[tuple, str], ...]
-
-    def __len__(self):
-        return len(self.faults)
-
-    def locations(self):
-        return tuple(loc for loc, _ in self.faults)
+    return StageLayout(
+        tuple(locs),
+        tuple(effects),
+        prep_x=fields(t.block_offsets, sizes),
+        prep_meas=fields(face_at, faces),
+        pair_flips=fields(pair_at, pairs),
+        layer_x=(layer_at, (1 << n) - 1),
+        outcome_flips=(outcome_at, (1 << n) - 1),
+    )
 
 
 BATCH = 256  # trials per batch: one fault stream and one twirl stream each
@@ -127,15 +164,16 @@ class BatchFaults:
         return len(self.positions)
 
     def by_trial(self, stop: int = BATCH):
-        """(trial, FaultSet) for every faulty trial below `stop`, in order."""
-        m, table = self.layout.size, self.layout.fault_table
+        """(trial, fault codes) for every faulty trial below `stop`, in
+        order; code 4 * i + j is location i with label _LABELS[j]."""
+        m = self.layout.size
         n = self.positions.searchsorted(stop * m)
         trials, where = np.divmod(self.positions[:n], m)
         starts = np.flatnonzero(np.diff(trials, prepend=-1)).tolist()
         codes = (4 * where + self.labels[:n]).tolist()
         trials = trials.tolist()
         for a, b in zip(starts, starts[1:] + [n]):
-            yield trials[a], FaultSet(tuple(map(table.__getitem__, codes[a:b])))
+            yield trials[a], codes[a:b]
 
 
 def _bernoulli_positions(rng, p: float, size: int) -> np.ndarray:
@@ -171,73 +209,14 @@ def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> BatchFaul
     return BatchFaults(layout, positions, labels)
 
 
-@dataclass
-class PropagationResult:
-    """Deterministic image of a fault set at the final measurement.
-
-    Z-type effects all reduce to outcome flips; X-type effects feed the
-    preparation syndromes (prep stage) or, at the layer, the twirl.
-    """
-
-    prep_data_x: dict = field(default_factory=dict)  # block -> X pattern
-    prep_meas: dict = field(default_factory=dict)  # block -> face flips
-    pair_flips: dict = field(default_factory=dict)  # merge -> pair flips
-    layer_x: int = 0  # global X pattern at the layer (run_trial twirls it)
-    outcome_flips: int = 0  # global Z-equivalent flips on final outcomes
-
-    def xor(self, other: "PropagationResult") -> "PropagationResult":
-        out = PropagationResult()
-        for name in ("prep_data_x", "prep_meas", "pair_flips"):
-            a, b = getattr(self, name), getattr(other, name)
-            merged = dict(a)
-            for key, v in b.items():
-                merged[key] = merged.get(key, 0) ^ v
-            setattr(out, name, {k: v for k, v in merged.items() if v})
-        out.layer_x = self.layer_x ^ other.layer_x
-        out.outcome_flips = self.outcome_flips ^ other.outcome_flips
-        return out
-
-
-def propagate(faults: FaultSet, t: TetrahelixCode) -> PropagationResult:
-    """Push every fault to its final-measurement effect.
-
-    Z faults commute with the diagonal layer and flip one outcome bit. X
-    faults before the layer enter the preparation round; at the layer they
-    join the X pattern that the trial twirls; after the layer they leave
-    Hadamard-basis outcomes unchanged. Measurement flips stay local to their
-    round.
-    """
-    res = PropagationResult()
-    for loc, label in faults.faults:
-        kind = loc[0]
-        if kind == PREP_DATA:
-            _, b, q = loc
-            g = 1 << t.qubit(b, q)
-            if label in ("X", "Y"):
-                res.prep_data_x[b] = res.prep_data_x.get(b, 0) ^ (1 << q)
-            if label in ("Z", "Y"):
-                res.outcome_flips ^= g
-        elif kind == PREP_MEAS:
-            _, b, f = loc
-            if label == "flip":
-                res.prep_meas[b] = res.prep_meas.get(b, 0) ^ (1 << f)
-        elif kind == MERGE_MEAS:
-            _, j, p = loc
-            if label == "flip":
-                res.pair_flips[j] = res.pair_flips.get(j, 0) ^ (1 << p)
-        elif kind == LAYER:
-            _, q = loc
-            if label in ("X", "Y"):
-                res.layer_x ^= 1 << q
-            if label in ("Z", "Y"):
-                res.outcome_flips ^= 1 << q
-        elif kind == FINAL_MEAS:
-            _, q = loc
-            if label == "flip":
-                res.outcome_flips ^= 1 << q
-        else:
-            raise ValueError(f"unknown location kind {kind!r}")
-    return res
+def propagate(codes, layout: StageLayout) -> int:
+    """The effect of a trial's faults: the XOR of the effects of its fault
+    codes (see StageLayout)."""
+    effects = layout.effects
+    out = 0
+    for code in codes:
+        out ^= effects[code]
+    return out
 
 
 def twirl_mask(x_pattern: int, rng) -> int:

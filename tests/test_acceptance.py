@@ -15,7 +15,7 @@ from tetriqp import colex as cx
 from tetriqp import csscode as cc
 from tetriqp import gf2, harness, iqp
 from tetriqp.harness import ChainSim, ExperimentConfig
-from tetriqp.noise import LAYER, PREP_DATA, FaultSet, NoiseModel, propagate
+from tetriqp.noise import _LABELS, LAYER, PREP_DATA, NoiseModel, propagate
 from tetriqp.rng import make_rng
 from tetriqp.surgery import Block, build_tetrahelix
 
@@ -198,9 +198,8 @@ def _single_fault_cases(sim):
         kind = loc[0]
         for label in ("X", "Z", "Y") if kind in (PREP_DATA, LAYER) else ("flip",):
             fault = (loc, label)
-            x_diff, flips, sector, prep_nc = sim.correct(
-                propagate(FaultSet((fault,)), sim.t)
-            )
+            code = 4 * sim.layout.locations.index(loc) + _LABELS.index(label)
+            x_diff, flips, sector, prep_nc = sim.correct(propagate([code], sim.layout))
             supp = gf2.support(x_diff)
             if len(supp) <= 5:
                 twirl_sets = [

@@ -198,6 +198,8 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ({"ks": [1, "2"]}, "ks"), ({"epsilons": [0.05, 0.01]}, "epsilons"),
     ({"epsilons": [0.01, 1.5]}, "epsilons"), ({"mix_meas": 0.5}, "mix"),
     ({"max_statevector": 30}, "max_statevector"),
+    ({"L": 5, "max_l": 3}, "L"), ({"Ls": [3, 5], "max_l": 3}, "Ls"),
+    ({"k": 3, "max_k": 2}, "k"), ({"ks": [1, 3], "max_k": 2}, "ks"),
 ])
 def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
     # a bad value is bad input (exit 2, the field named), not a traceback
@@ -229,10 +231,11 @@ def test_mc_workers_flag_overrides_config(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "logical_error_rate", fake)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, "workers": 2}))
-    argv = ["mc", "pipeline", "--config", str(cfg)]
-    assert run(argv) == 0 and run([*argv, "--workers", "1"]) == 0
-    assert seen == [2, 1]
+    cfg.write_text(json.dumps({"L": 3, "Ls": [3], "k": 1, "trials": 20, "seed": 2, "workers": 2}))
+    for what in ("pipeline", "prep"):
+        argv = ["mc", what, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert run(argv) == 0 and run([*argv, "--workers", "1"]) == 0
+    assert seen == [2, 1, 2, 1]
 
 
 def test_e2e(tmp_path, capsys):

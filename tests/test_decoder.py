@@ -7,7 +7,7 @@ from tetriqp import colex as cx
 from tetriqp import decoder as dc
 from tetriqp import gf2
 from tetriqp.harness import ChainSim
-from tetriqp.noise import FaultSet, NoiseModel, propagate
+from tetriqp.noise import PREP_DATA, NoiseModel, propagate
 from tetriqp.surgery import Block, build_tetrahelix
 
 
@@ -200,7 +200,7 @@ def test_merge_two_flips_can_err(fc3):
 def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
     vl, _ = chain2.pairings[0].pairs[2]
-    fault = FaultSet(((("prep_data", 0, vl), "X"),))
+    fault = 4 * sim2.layout.locations.index((PREP_DATA, 0, vl))  # label X
     # an idle preparation decoder leaves the fault as the residual
     monkeypatch.setattr(dc.BlockDecoder, "decode_prep", lambda self, syndrome: (0, 0))
     words = []
@@ -211,7 +211,7 @@ def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
         return decode(self, word)
 
     monkeypatch.setattr(dc.FacetDecoder, "decode", recording_decode)
-    sim2.correct(propagate(fault, chain2))
+    sim2.correct(propagate([fault], sim2.layout))
     assert words[0] == 1 << 2
 
 

@@ -446,6 +446,27 @@ def test_trace_has_one_record_per_trial_in_order(tmp_path):
     assert sum(r["prep_noncorrectable"] for r in records) == est.prep_noncorrectable
 
 
+def test_trace_is_the_same_for_any_worker_count(tmp_path, monkeypatch):
+    pools = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    texts = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"trace_w{workers}.jsonl"
+        harness.logical_error_rate(
+            3, 2, NoiseModel(0.004), 700, seed=23, workers=workers, trace_path=out
+        )
+        texts.append(out.read_bytes())
+    assert pools == [2, 3]  # traced runs use the workers they are given
+    assert texts[0] == texts[1] == texts[2]
+    assert len(texts[0].splitlines()) == 700
+
+
 def test_trace_is_a_prefix_of_a_longer_run(tmp_path):
     # trial t depends on (seed, t // BATCH, t % BATCH) only
     _, short = _trace(tmp_path, 300)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,67 @@ from tetriqp import noise
 from tetriqp.noise import BATCH, NoiseModel, propagate, sample_iid_faults, stage_layout
 from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
+
+
+def _propagate_oracle(faults, t):
+    """Push every (location, label) fault to its final-measurement effect
+    by dispatch on the location kind: the oracle for the effect table of
+    stage_layout. Returns the block -> X pattern, block -> face flips and
+    merge -> pair flips dicts, then the layer X pattern and the outcome flips.
+    """
+    prep_data_x, prep_meas, pair_flips = {}, {}, {}
+    layer_x = outcome_flips = 0
+    for loc, label in faults:
+        kind = loc[0]
+        if kind == noise.PREP_DATA:
+            _, b, q = loc
+            if label in ("X", "Y"):
+                prep_data_x[b] = prep_data_x.get(b, 0) ^ (1 << q)
+            if label in ("Z", "Y"):
+                outcome_flips ^= 1 << t.qubit(b, q)
+        elif kind == noise.PREP_MEAS:
+            _, b, f = loc
+            if label == "flip":
+                prep_meas[b] = prep_meas.get(b, 0) ^ (1 << f)
+        elif kind == noise.MERGE_MEAS:
+            _, j, p = loc
+            if label == "flip":
+                pair_flips[j] = pair_flips.get(j, 0) ^ (1 << p)
+        elif kind == noise.LAYER:
+            _, q = loc
+            if label in ("X", "Y"):
+                layer_x ^= 1 << q
+            if label in ("Z", "Y"):
+                outcome_flips ^= 1 << q
+        elif kind == noise.FINAL_MEAS:
+            _, q = loc
+            if label == "flip":
+                outcome_flips ^= 1 << q
+        else:
+            raise ValueError(f"unknown location kind {kind!r}")
+    return prep_data_x, prep_meas, pair_flips, layer_x, outcome_flips
+
+
+def _pack(oracle, layout):
+    """The oracle's result as one effect word in the layout's fields."""
+    prep_data_x, prep_meas, pair_flips, layer_x, outcome_flips = oracle
+    word = layer_x << layout.layer_x[0] ^ outcome_flips << layout.outcome_flips[0]
+    for fields, parts in (
+        (layout.prep_x, prep_data_x), (layout.prep_meas, prep_meas),
+        (layout.pair_flips, pair_flips),
+    ):
+        for i, v in parts.items():
+            word ^= v << fields[i][0]
+    return word
+
+
+def _code(layout, loc, label):
+    return 4 * layout.locations.index(loc) + noise._LABELS.index(label)
+
+
+def _field(effect, field):
+    shift, mask = field
+    return effect >> shift & mask
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +100,21 @@ def test_layout_structure(chain2, layout):
     assert kinds[noise.FINAL_MEAS] == 30
 
 
+@pytest.mark.parametrize("k, L", [(2, 3), (5, 3), (4, 5), (2, 7)])
+def test_effects_match_the_oracle(k, L):
+    t = build_tetrahelix(k, L)
+    lay = stage_layout(t)
+    fields = [*lay.prep_x, *lay.prep_meas, *lay.pair_flips, lay.layer_x, lay.outcome_flips]
+    # the fields tile the word from bit 0 up, in order, without overlap
+    assert [shift for shift, _ in fields] == list(
+        itertools.accumulate((mask.bit_length() for _, mask in fields[:-1]), initial=0)
+    )
+    assert len(lay.effects) == 4 * lay.size
+    for i, loc in enumerate(lay.locations):
+        for j, label in enumerate(noise._LABELS):
+            assert lay.effects[4 * i + j] == _pack(_propagate_oracle([(loc, label)], t), lay)
+
+
 def test_epsilon_extremes(layout):
     none = sample_iid_faults(NoiseModel(0.0), layout, 1)
     assert len(none) == 0 and list(none.by_trial()) == []
@@ -47,8 +124,8 @@ def test_epsilon_extremes(layout):
     assert full.positions.tolist() == list(range(BATCH * layout.size))
     trials = list(full.by_trial())
     assert [t for t, _ in trials] == list(range(BATCH))
-    for _, fs in trials:
-        assert fs.locations() == layout.locations
+    for _, codes in trials:
+        assert tuple(layout.locations[c // 4] for c in codes) == layout.locations
 
 
 def test_tiny_epsilon_stays_in_range(layout):
@@ -68,7 +145,7 @@ def test_positions_continue_past_the_first_chunk():
 
 
 def _trial_sets(faults, stop=BATCH):
-    return [(t, fs.faults) for t, fs in faults.by_trial(stop)]
+    return [(t, tuple(codes)) for t, codes in faults.by_trial(stop)]
 
 
 def test_sampler_determinism(layout):
@@ -129,8 +206,8 @@ def test_local_stochastic_bound(layout):
         subsets.append(tuple(int(x) for x in rng.choice(layout.size, size, replace=False)))
     hits = [0] * len(subsets)
     for b in range(batches):
-        for _, fl in sample_iid_faults(model, layout, (9, b)).by_trial():
-            idx = {layout.locations.index(loc) for loc, _ in fl.faults}
+        for _, codes in sample_iid_faults(model, layout, (9, b)).by_trial():
+            idx = {code // 4 for code in codes}
             for s_i, sub in enumerate(subsets):
                 if all(i in idx for i in sub):
                     hits[s_i] += 1
@@ -140,54 +217,41 @@ def test_local_stochastic_bound(layout):
         assert h / trials <= p + 4 * sigma
 
 
-def test_propagate_z_is_outcome_flip(chain2):
-    fs = noise.FaultSet((((noise.LAYER, 7), "Z"),))
-    res = propagate(fs, chain2)
-    assert res.outcome_flips == 1 << 7
-    assert res.layer_x == 0
-    fs = noise.FaultSet((((noise.PREP_DATA, 1, 3), "Z"),))
-    res = propagate(fs, chain2)
-    assert res.outcome_flips == 1 << chain2.qubit(1, 3)
+def test_propagate_z_is_outcome_flip(chain2, layout):
+    res = propagate([_code(layout, (noise.LAYER, 7), "Z")], layout)
+    assert _field(res, layout.outcome_flips) == 1 << 7
+    assert _field(res, layout.layer_x) == 0
+    res = propagate([_code(layout, (noise.PREP_DATA, 1, 3), "Z")], layout)
+    assert _field(res, layout.outcome_flips) == 1 << chain2.qubit(1, 3)
 
 
-def test_propagate_x_after_layer_no_effect(chain2):
-    fs = noise.FaultSet((((noise.FINAL_MEAS, 4), "X"),))
-    res = propagate(fs, chain2)
-    assert res.outcome_flips == 0
-    assert res.layer_x == 0
+def test_propagate_x_after_layer_no_effect(layout):
+    res = propagate([_code(layout, (noise.FINAL_MEAS, 4), "X")], layout)
+    assert _field(res, layout.outcome_flips) == 0
+    assert _field(res, layout.layer_x) == 0
 
 
-def test_propagate_layer_twirl(chain2):
+def test_propagate_layer_twirl(layout):
     # propagation draws no twirl coin: a layer X only joins the X pattern
     # that the trial twirls, and a layer Y adds just its Z part
-    fs = noise.FaultSet((((noise.LAYER, 4), "X"),))
-    res = propagate(fs, chain2)
-    assert res.layer_x == 1 << 4 and res.outcome_flips == 0
-    fs = noise.FaultSet((((noise.LAYER, 4), "Y"),))
-    res = propagate(fs, chain2)
-    assert res.layer_x == 1 << 4 and res.outcome_flips == 1 << 4
+    res = propagate([_code(layout, (noise.LAYER, 4), "X")], layout)
+    assert _field(res, layout.layer_x) == 1 << 4 and _field(res, layout.outcome_flips) == 0
+    res = propagate([_code(layout, (noise.LAYER, 4), "Y")], layout)
+    assert _field(res, layout.layer_x) == 1 << 4 and _field(res, layout.outcome_flips) == 1 << 4
 
 
 def test_propagate_linearity(chain2, layout):
     model = NoiseModel(0.15)
     f1 = dict(sample_iid_faults(model, layout, (1, 0)).by_trial())[0]
     f2 = dict(sample_iid_faults(model, layout, (2, 0)).by_trial())[0]
-    locs1 = set(f1.locations())
-    joint = noise.FaultSet(
-        tuple(sorted(
-            [f for f in f1.faults]
-            + [f for f in f2.faults if f[0] not in locs1],
-            key=str,
-        ))
-    )
-    only2 = noise.FaultSet(tuple(f for f in f2.faults if f[0] not in locs1))
-    a = propagate(f1, chain2).xor(propagate(only2, chain2))
-    b = propagate(joint, chain2)
-    assert a.outcome_flips == b.outcome_flips
-    assert a.layer_x == b.layer_x
-    assert a.prep_data_x == b.prep_data_x
-    assert a.prep_meas == b.prep_meas
-    assert a.pair_flips == b.pair_flips
+    locs1 = {c // 4 for c in f1}
+    only2 = [c for c in f2 if c // 4 not in locs1]
+    joint = sorted(f1 + only2)
+    a = propagate(f1, layout) ^ propagate(only2, layout)
+    b = propagate(joint, layout)
+    assert a == b
+    faults = [(layout.locations[c // 4], noise._LABELS[c % 4]) for c in joint]
+    assert b == _pack(_propagate_oracle(faults, chain2), layout)
 
 
 def test_twirl_statevector_family_average():
