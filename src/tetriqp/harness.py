@@ -52,6 +52,9 @@ from .noise import BATCH, NoiseModel, propagate, sample_iid_faults, stage_layout
 from .rng import TrialStreams, make_rng
 from .surgery import TetrahelixCode, build_tetrahelix
 
+MAX_L = 7  # largest block distance a config or logical_error_rate accepts
+MAX_K = 8  # longest chain: k and ks of a config, the e2e depth cap max_k
+
 
 def _is_a(value, kind) -> bool:
     """Whether a config value is of `kind`: an int passes for a float, and
@@ -80,8 +83,7 @@ class ExperimentConfig:
     workers: int = 1
     L: int = 3
     k: int = 1
-    max_l: int = 7
-    max_k: int = 8
+    max_k: int = MAX_K  # e2e's cap on the sampled circuit depth
     max_statevector: int = 20
     mix_x: float = 0.25
     mix_z: float = 0.25
@@ -95,9 +97,9 @@ class ExperimentConfig:
         """Reject a bad value up front: every field has its default's type
         (an int passes for a float, a bool for nothing), every int is >= 1
         but the seed, which is >= 0, max_statevector is at most the exact
-        simulator's cap, L and every Ls entry are at most max_l, k and every
-        ks entry at most max_k, the epsilon grid rises within [0, 1] and the
-        channel mix is valid."""
+        simulator's cap, L and every Ls entry are at most MAX_L, k, every ks
+        entry and max_k at most MAX_K, the epsilon grid rises within [0, 1]
+        and the channel mix is valid."""
         for f in fields(self):
             value, default = getattr(self, f.name), f.default
             if isinstance(default, tuple):
@@ -115,10 +117,11 @@ class ExperimentConfig:
                 f"max_statevector must be <= {EXACT_DISTRIBUTION_CAP}, "
                 f"got {self.max_statevector!r}"
             )
-        for name, cap in (("L", "max_l"), ("Ls", "max_l"), ("k", "max_k"), ("ks", "max_k")):
-            value, limit = getattr(self, name), getattr(self, cap)
-            if max(value if isinstance(value, tuple) else (value,)) > limit:
-                raise ValueError(f"config field {name} must be <= {cap}={limit}, got {value!r}")
+        caps = {"L": MAX_L, "Ls": MAX_L, "k": MAX_K, "ks": MAX_K, "max_k": MAX_K}
+        for name, cap in caps.items():
+            value = getattr(self, name)
+            if max(value if isinstance(value, tuple) else (value,)) > cap:
+                raise ValueError(f"config field {name} must be <= {cap}, got {value!r}")
         eps = self.epsilons
         if list(eps) != sorted(eps) or not 0 <= eps[0] <= eps[-1] <= 1:
             raise ValueError(f"epsilons must rise within [0, 1], got {eps!r}")
@@ -354,15 +357,14 @@ def logical_error_rate(
     from the noiseless one (see the module docstring). `seed` is an int
     or a spawn tuple; batch b of BATCH trials draws from streams
     (seed, b, tag), and each worker runs whole batches. L and k are capped
-    at the ExperimentConfig defaults, max_l and max_k.
+    at MAX_L and MAX_K.
 
     trace_path, when given, writes one JSON line per trial, in trial order,
     fault-free trials included, with the fields `trial`, `n_faults`,
     `sector_flips` (per merge), `prep_noncorrectable` and `failed`.
     """
-    max_l, max_k = ExperimentConfig.max_l, ExperimentConfig.max_k
-    if L > max_l or k > max_k:
-        raise ValueError(f"(L={L}, k={k}) exceeds caps (max_l={max_l}, max_k={max_k})")
+    if L > MAX_L or k > MAX_K:
+        raise ValueError(f"(L={L}, k={k}) exceeds caps (L <= {MAX_L}, k <= {MAX_K})")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     batches = -(-trials // BATCH)

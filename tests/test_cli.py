@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tetriqp.cli import run
+from tetriqp.harness import ExperimentConfig
 
 
 @pytest.fixture()
@@ -198,8 +199,8 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ({"ks": [1, "2"]}, "ks"), ({"epsilons": [0.05, 0.01]}, "epsilons"),
     ({"epsilons": [0.01, 1.5]}, "epsilons"), ({"mix_meas": 0.5}, "mix"),
     ({"max_statevector": 30}, "max_statevector"),
-    ({"L": 5, "max_l": 3}, "L"), ({"Ls": [3, 5], "max_l": 3}, "Ls"),
-    ({"k": 3, "max_k": 2}, "k"), ({"ks": [1, 3], "max_k": 2}, "ks"),
+    ({"L": 9}, "L"), ({"Ls": [3, 9]}, "Ls"), ({"k": 9}, "k"), ({"ks": [1, 9]}, "ks"),
+    ({"max_k": 9}, "max_k"), ({"max_l": 3}, "max_l"),
 ])
 def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
     # a bad value is bad input (exit 2, the field named), not a traceback
@@ -208,6 +209,14 @@ def test_config_bad_value_rejected(tmp_path, capsys, bad, named):
     for cmd in (["mc", "pipeline"], ["mc", "scan"], ["e2e"]):
         assert run([*cmd, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert named in capsys.readouterr().err
+
+
+def test_config_caps_check_only_values(tmp_path):
+    # the caps are constants: a default no command reads cannot reject a config
+    ExperimentConfig(L=7, Ls=(3, 5, 7), k=8, ks=(1, 8), max_k=8)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, "max_k": 1}))
+    assert run(["mc", "pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("flag", ["0", "-3"])
