@@ -16,6 +16,14 @@ XOR of the effects that `noise.stage_layout` precomputes per chain. The
 twirl of the X pattern crossing the diagonal layer is drawn by `run_trial`,
 one coin per qubit, and nowhere else.
 
+A trial decodes syndromes, not patterns: its effect word already holds each
+block's preparation face syndrome, and its final decode depends on the
+outcome flips only through their X-bar parity and their chain syndrome. So
+the simulator memoises the preparation fix per face syndrome and the final
+correction parity per chain syndrome (see `ChainSim.correct` and
+`ChainSim._decode`). Each memo holds at most MEMO_MAX entries, is emptied
+when full and at the start of every run, and changes no result.
+
 A trial fails when the decoded logical of its noisy outcome flips f is 1.
 That is the event that the noisy outcome decodes differently
 from the noiseless one, whatever noiseless outcome o the trial had: o lies in
@@ -54,6 +62,7 @@ from .surgery import TetrahelixCode, build_tetrahelix
 
 MAX_L = 7  # largest block distance a config or logical_error_rate accepts
 MAX_K = 8  # longest chain: k and ks of a config, the e2e depth cap max_k
+MEMO_MAX = 1 << 12  # entries per decode memo of a ChainSim; emptied when full
 
 
 def _is_a(value, kind) -> bool:
@@ -182,6 +191,21 @@ class ChainSim:
         ]
         self.kernel = gf2.kernel_basis(t.code.hx.rows, t.code.n)
         self._streams = TrialStreams()
+        lay = self.layout
+        self._prep_fields = tuple(mask << shift for shift, mask in lay.prep_syndrome)
+        self._pair_fields = tuple(
+            (fm << fs) | (xm << xs) for (fs, fm), (xs, xm) in zip(lay.pair_flips, lay.pair_x)
+        )
+        self._prep_region = sum(self._prep_fields)
+        self._pair_region = sum(self._pair_fields)
+        # bit position in a prep or merge field -> its block or merge
+        self._owner = [0] * (self._prep_region | self._pair_region).bit_length()
+        for fields in (self._prep_fields, self._pair_fields):
+            for i, field in enumerate(fields):
+                for bit in gf2.support(field):
+                    self._owner[bit] = i
+        self._prep_memo = {}  # a block's face syndrome, in place in the effect -> fix
+        self._final_memo = {}  # chain syndrome -> parity F of the block decodes
         self._fault_free = TrialResult(False, (0,) * len(t.pairings), 0, 0, 0)
 
     @classmethod
@@ -189,6 +213,14 @@ class ChainSim:
     def build(cls, k: int, L: int) -> "ChainSim":
         """The simulator of the (k, L) chain, built once per process."""
         return cls(build_tetrahelix(k, L))
+
+    def clear_memos(self) -> None:
+        """Empty the prep and final memos. Each run starts with them empty,
+        so that a run's decoder calls, and so its cost and its per-layer
+        trace, do not depend on the runs made before it in the process.
+        Results never do."""
+        self._prep_memo.clear()
+        self._final_memo.clear()
 
     def sample_reference(self, rng) -> int:
         """A uniformly random noiseless outcome vector, an element of ker(Hx).
@@ -236,55 +268,89 @@ class ChainSim:
         merge of a propagated fault effect and apply the fixes. Every field
         of `effect` is read through the layout's (shift, mask) pairs.
 
+        A block whose face syndrome is nonzero gets its preparation fix from
+        the prep memo: the effect of the decoded X pattern x̂ (see
+        `_prep_fix`), which XORed into `effect` applies x̂ to the layer
+        pattern, the Z-bar parities and the pair words alike. A merge with a
+        nonzero pair word is decoded twice, with and without its
+        measurement flips.
+
         Returns (x_diff, outcome_flips, sector, prep_nc): the X pattern that
         crosses the diagonal layer (still to be twirled), the outcome flips
         before the twirl, the per-merge residual logical misalignments and
         the number of blocks whose preparation residual acts as the X logical.
         """
-        t, lay = self.t, self.layout
-        shift, mask = lay.layer_x
-        x_diff = effect >> shift & mask
-        prep_nc = 0
-        residuals = []
-        for dec, (xs, xm), (ms, mm) in zip(self.block_decoders, lay.prep_x, lay.prep_meas):
-            e_d = effect >> xs & xm
-            e_m = effect >> ms & mm
-            syndrome = dec.faces.syndrome(e_d) ^ e_m if (e_d or e_m) else 0
-            xhat, _ = dec.decode_prep(syndrome)
-            r = e_d ^ xhat
-            residuals.append(r)
-            x_diff ^= r << xs  # prep_x is in chain coordinates
-            if (r & dec.lz).bit_count() & 1:
-                prep_nc += 1
-
-        sector = []
-        for j, (pr, (ps, pm)) in enumerate(zip(t.pairings, lay.pair_flips)):
-            flips = effect >> ps & pm
-            word = flips
-            for p, (vl, vr) in enumerate(pr.pairs):
-                bit = (residuals[j] >> vl & 1) ^ (residuals[j + 1] >> vr & 1)
-                word ^= bit << p
-            if word or flips:
-                xhat, _ = self.facet_decoders[j].decode(word)
-                xtrue, _ = self.facet_decoders[j].decode(word ^ flips)
-            else:
-                xhat = xtrue = 0
-            if xhat:
-                x_diff ^= t.block_logical_x[j]
-            sector.append(xhat ^ xtrue)
+        lay = self.layout
+        keys = effect & self._prep_region
+        while keys:  # the blocks with a nonzero syndrome, last first
+            b = self._owner[keys.bit_length() - 1]
+            key = keys & self._prep_fields[b]
+            keys ^= key
+            fix = self._prep_memo.get(key)
+            if fix is None:
+                fix = self._prep_fix(b, key)
+            effect ^= fix
+        x_diff = effect >> lay.layer_x[0] & lay.layer_x[1]
+        prep_nc = (effect >> lay.prep_logical[0] & lay.prep_logical[1]).bit_count()
+        sector = self._fault_free.sector_flips  # every merge aligned
+        words = effect & self._pair_region
+        if words:
+            sector = list(sector)
+            while words:  # the merges with a nonzero pair word, last first
+                j = self._owner[words.bit_length() - 1]
+                words &= ~self._pair_fields[j]
+                flips = effect >> lay.pair_flips[j][0] & lay.pair_flips[j][1]
+                x_word = effect >> lay.pair_x[j][0] & lay.pair_x[j][1]
+                xhat, _ = self.facet_decoders[j].decode(x_word ^ flips)
+                xtrue, _ = self.facet_decoders[j].decode(x_word)
+                if xhat:
+                    x_diff ^= self.t.block_logical_x[j]
+                sector[j] = xhat ^ xtrue
+            sector = tuple(sector)
         shift, mask = lay.outcome_flips
-        return x_diff, effect >> shift & mask, tuple(sector), prep_nc
+        return x_diff, effect >> shift & mask, sector, prep_nc
+
+    def _prep_fix(self, b: int, key: int) -> int:
+        """Prep memo miss: decode block b's face syndrome, held in place in
+        `key`, and store the effect of the decoded X pattern x̂ with block b's
+        syndrome field left out: x̂ in chain coordinates in layer_x, the
+        parity of x̂ against Z-bar at bit b of prep_logical, and the pair
+        words of x̂ on merge b - 1's right side and merge b's left side."""
+        shift, _ = self.layout.prep_syndrome[b]
+        xhat, _ = self.block_decoders[b].decode_prep(key >> shift)
+        effects, g0 = self.layout.effects, self.t.block_offset(b)
+        fix = 0
+        for q in gf2.support(xhat):
+            fix ^= effects[4 * (g0 + q)]  # an X entering preparation at chain qubit g0 + q
+        fix &= ~self._prep_fields[b]
+        _remember(self._prep_memo, key, fix)
+        return fix
 
     def _decode(self, outcomes: int) -> int:
-        """Decoded chain logical of an outcome word: split it, decode each
-        block's cell syndrome and add each block's X-bar parity. The split
-        applies pair stabilizers only, which commute with the chain X-bar,
-        so the framed blocks' parities sum to that of the unframed word."""
-        res = surgery.split_frame(self.t, outcomes)
-        out = (outcomes & self.t.code.logical_x).bit_count()
-        for dec, syndrome in zip(self.block_decoders, res.block_syndromes):
-            out += (dec.decode_cells(syndrome) & dec.lx).bit_count()
-        return out & 1
+        """Decoded chain logical of an outcome word: its X-bar parity plus
+        F(sigma), with sigma its chain syndrome. The split applies pair
+        stabilizers only, which commute with the chain X-bar, and leaves
+        every block the cell syndrome of its part of the chain hypothesis
+        for sigma; so the block decodes add a parity F that depends on sigma
+        alone. The final memo holds F per sigma, and a miss computes it
+        from `surgery.split_frame` and the block cell decoders."""
+        sigma = self.t.split_context.chain.syndrome(outcomes)
+        f = self._final_memo.get(sigma)
+        if f is None:
+            res = surgery.split_frame(self.t, outcomes)
+            f = 0
+            for dec, syndrome in zip(self.block_decoders, res.block_syndromes):
+                f ^= (dec.decode_cells(syndrome) & dec.lx).bit_count() & 1
+            _remember(self._final_memo, sigma, f)
+        return ((outcomes & self.t.code.logical_x).bit_count() ^ f) & 1
+
+
+def _remember(memo: dict, key: int, value: int) -> None:
+    """Store a decode in one of a ChainSim's memos, emptying it first when
+    it holds MEMO_MAX entries."""
+    if len(memo) >= MEMO_MAX:
+        memo.clear()
+    memo[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +379,7 @@ def _count_chunk(args) -> tuple[tuple[int, int, int, int], list | None]:
     `trace` is set (else None)."""
     L, k, model, seed, start, stop, trace = args
     sim = ChainSim.build(k, L)
+    sim.clear_memos()
     fails = merge_nc = prep_nc = corrupt = 0
     records = [] if trace else None
     for first in range(start, stop, BATCH):
@@ -527,6 +594,7 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
         raise ValueError(f"sampled circuit depth {k} exceeds the chain cap {config.max_k}")
     ideal = exact_distribution(circuit)
     sim = ChainSim.build(k, config.L)
+    sim.clear_memos()
     model = config.noise_model()
 
     # alignments -> CDF of the effective circuit; all aligned is the ideal one

@@ -81,12 +81,46 @@ def sample_circuit(n: int, gamma: float, seed: int) -> IqpCircuit:
     rng = make_rng(seed)
     t = tuple(int(x) for x in rng.integers(0, 8, size=n))
     p = min(1.0, gamma * math.log2(n) / n) if n > 1 else 0.0
+    return IqpCircuit(n, t, _sample_cs(rng, n, p), gamma=gamma, seed=seed)
+
+
+def _sample_cs(rng, n: int, p: float) -> tuple[tuple[int, int, int], ...]:
+    """The CS gates of each pair i < j in row-major order, present with
+    probability p, drawn from the raw Philox words exactly as the scalar
+    loop `if rng.random() < p: rng.integers(0, 4)` draws them.
+
+    A pair reads one 64-bit word w as the double (w >> 11) * 2^-53. A gate
+    reads one 32-bit half: the generator's held half if it has one, else
+    the low half of the next word, holding its high half. Lemire's method
+    with range 4 never rejects, so the exponent is that half >> 30. The
+    words are drawn at once, as many as the worst case needs, and only the
+    gates are walked in Python.
+    """
+    pairs = n * (n - 1) // 2
+    if not pairs:
+        return ()
+    state = rng.bit_generator.state
+    held = state["uinteger"] if state["has_uint32"] else None
+    words = rng.bit_generator.random_raw(pairs + (pairs + 1) // 2)
+    doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    candidates = np.flatnonzero(doubles < p)  # words that would read as a gate
+    rows, cols = np.triu_indices(n, 1)
     cs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                cs.append((i, j, int(rng.integers(0, 4))))
-    return IqpCircuit(n, t, tuple(cs), gamma=gamma, seed=seed)
+    pos = pair = 0  # the word of pair `pair`
+    for at in candidates.tolist():
+        if at < pos:  # the word a gate's exponent took
+            continue
+        pair += at - pos
+        if pair >= pairs:
+            break
+        if held is None:
+            word = int(words[at + 1])
+            half, held, pos = word & 0xFFFFFFFF, word >> 32, at + 2
+        else:
+            half, held, pos = held, None, at + 1
+        cs.append((int(rows[pair]), int(cols[pair]), half >> 30))
+        pair += 1
+    return tuple(cs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ measurement location, or a flip label on a data location, acts trivially.
 
 The effect of each (location, label) fault is worked out once per chain, by
 `stage_layout`, as one int of bit fields (see StageLayout), and the
-propagation of a trial's faults is the XOR of their effects.
+propagation of a trial's faults is the XOR of their effects. The fields hold
+every linear image that a trial reads (the preparation face syndromes, the
+Z-bar parities, the pair outcomes that entering X patterns flip), so what a
+trial computes itself is the decodes of those syndromes.
 
 X-type faults sitting at the depth-1 diagonal layer do not propagate as
 Pauli; they are replaced by X plus a Z with probability one half (Pauli
@@ -70,22 +73,33 @@ class StageLayout:
     """Ordered space-time fault locations of the prepare/merge/layer/measure
     pipeline for one chain, and the effect of every fault.
 
-    Fault code 4 * i + j is location i with label _LABELS[j]; effects[code]
-    is its deterministic effect, one int whose fields are, lowest bit first:
-    the X pattern entering the preparation round (chain coordinates, so
-    block b's pattern starts at bit t.block_offset(b)), the preparation face
-    flips block by block, the merge pair flips merge by merge, the X pattern
-    at the diagonal layer and the Z-equivalent flips of the final outcomes.
-    Each field is a (shift, mask) pair, read as `effect >> shift & mask`:
-    prep_x and prep_meas per block, pair_flips per merge. The effect of a
-    set of faults is the XOR of their effects.
+    Location g < n is PREP_DATA on chain qubit g. Fault code 4 * i + j is
+    location i with label _LABELS[j]; effects[code] is its deterministic
+    effect, one int holding everything of it that a trial reads linearly.
+    Its fields are, lowest bit first:
+
+    - prep_syndrome, per block: the face syndrome of the preparation round,
+      H_z x_b plus the face flips, for the X pattern x_b entering block b;
+    - prep_logical: bit b is the parity of x_b against block b's Z-bar;
+    - per merge j, pair_flips then pair_x: the flipped pair measurements,
+      and the pair outcomes that the entering X patterns flip (bit p is
+      x_j[vl] ^ x_{j+1}[vr] for pair p = (vl, vr));
+    - layer_x: the X pattern crossing the diagonal layer, chain coordinates,
+      the patterns entering preparation included (the trial twirls it);
+    - outcome_flips: the Z-equivalent flips of the final outcomes.
+
+    Each field is a (shift, mask) pair, read as `effect >> shift & mask`.
+    The effect of a set of faults is the XOR of their effects, and so is
+    that of a preparation correction: effects[4 * g] is the effect of an X
+    on chain qubit g as it enters preparation.
     """
 
     locations: tuple[tuple, ...]
     effects: tuple[int, ...]
-    prep_x: tuple[tuple[int, int], ...]
-    prep_meas: tuple[tuple[int, int], ...]
+    prep_syndrome: tuple[tuple[int, int], ...]
+    prep_logical: tuple[int, int]
     pair_flips: tuple[tuple[int, int], ...]
+    pair_x: tuple[tuple[int, int], ...]
     layer_x: tuple[int, int]
     outcome_flips: tuple[int, int]
 
@@ -98,20 +112,39 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
     """The locations of the chain `t` and the effect of each fault there.
 
     Z faults commute with the diagonal layer and flip one outcome bit. X
-    faults before the layer enter the preparation round; at the layer they
-    join the X pattern that the trial twirls; after the layer they leave
-    Hadamard-basis outcomes unchanged. A Y fault acts as X and Z. Measurement
-    flips stay local to their round. A Pauli on a measurement location or a
-    flip on a data location acts trivially.
+    faults before the layer enter the preparation round, where they meet
+    the face checks, the block's Z-bar and the pair checks of its merges;
+    at the layer they join the X pattern that the trial twirls; after the
+    layer they leave Hadamard-basis outcomes unchanged. A Y fault acts as X
+    and Z. Measurement flips stay local to their round. A Pauli on a
+    measurement location or a flip on a data location acts trivially.
     """
-    n = t.code.n
+    n, k = t.code.n, t.k
     sizes = [blk.code.n for blk in t.blocks]
     faces = [len(blk.colex.faces) for blk in t.blocks]
     pairs = [len(pr.pairs) for pr in t.pairings]
-    face_at = list(itertools.accumulate(faces, initial=n))
-    pair_at = list(itertools.accumulate(pairs, initial=face_at[-1]))
-    layer_at = pair_at[-1]
+    face_at = list(itertools.accumulate(faces, initial=0))
+    logical_at = face_at[-1]
+    merge_at = list(itertools.accumulate((2 * c for c in pairs), initial=logical_at + k))
+    pair_at = merge_at[:-1]
+    pair_x_at = [at + c for at, c in zip(pair_at, pairs)]
+    layer_at = merge_at[-1]
     outcome_at = layer_at + n
+
+    # the X image of every chain qubit entering preparation
+    x_image = [1 << layer_at + g for g in range(n)]
+    for b, blk in enumerate(t.blocks):
+        g0 = t.block_offset(b)
+        for f, row in enumerate(blk.code.hz.rows):
+            for q in gf2.support(row):
+                x_image[g0 + q] ^= 1 << face_at[b] + f
+        for q in gf2.support(blk.code.logical_z):
+            x_image[g0 + q] ^= 1 << logical_at + b
+    for j, pr in enumerate(t.pairings):
+        for p, (vl, vr) in enumerate(pr.pairs):
+            x_image[t.qubit(j, vl)] ^= 1 << pair_x_at[j] + p
+            x_image[t.qubit(j + 1, vr)] ^= 1 << pair_x_at[j] + p
+
     locs, effects = [], []
 
     def add(loc, x=0, z=0, flip=0):
@@ -121,7 +154,7 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
     for b, size in enumerate(sizes):
         for q in range(size):
             g = t.qubit(b, q)
-            add((PREP_DATA, b, q), x=1 << g, z=1 << outcome_at + g)
+            add((PREP_DATA, b, q), x=x_image[g], z=1 << outcome_at + g)
     for b, count in enumerate(faces):
         for f in range(count):
             add((PREP_MEAS, b, f), flip=1 << face_at[b] + f)
@@ -139,9 +172,10 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
     return StageLayout(
         tuple(locs),
         tuple(effects),
-        prep_x=fields(t.block_offsets, sizes),
-        prep_meas=fields(face_at, faces),
+        prep_syndrome=fields(face_at, faces),
+        prep_logical=(logical_at, (1 << k) - 1),
         pair_flips=fields(pair_at, pairs),
+        pair_x=fields(pair_x_at, pairs),
         layer_x=(layer_at, (1 << n) - 1),
         outcome_flips=(outcome_at, (1 << n) - 1),
     )

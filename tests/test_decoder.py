@@ -197,10 +197,11 @@ def test_merge_two_flips_can_err(fc3):
     assert flipped > 0
 
 
-def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
+def test_merge_residual_drives_word(monkeypatch, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
     vl, _ = chain2.pairings[0].pairs[2]
-    fault = 4 * sim2.layout.locations.index((PREP_DATA, 0, vl))  # label X
+    sim = ChainSim(chain2)  # its own, so that no memoised prep decode bypasses the patch
+    fault = 4 * sim.layout.locations.index((PREP_DATA, 0, vl))  # label X
     # an idle preparation decoder leaves the fault as the residual
     monkeypatch.setattr(dc.BlockDecoder, "decode_prep", lambda self, syndrome: (0, 0))
     words = []
@@ -211,7 +212,7 @@ def test_merge_residual_drives_word(monkeypatch, sim2, chain2):
         return decode(self, word)
 
     monkeypatch.setattr(dc.FacetDecoder, "decode", recording_decode)
-    sim2.correct(propagate([fault], sim2.layout))
+    sim.correct(propagate([fault], sim.layout))
     assert words[0] == 1 << 2
 
 

@@ -472,3 +472,86 @@ def test_trace_is_a_prefix_of_a_longer_run(tmp_path):
     _, short = _trace(tmp_path, 300)
     _, long = _trace(tmp_path, 600)
     assert short == long[:300]
+
+
+def _split_then_decode(sim, outcomes):
+    """The final decode without the memo: split the word, decode each
+    block's cell syndrome and add the X-bar parities."""
+    res = surgery.split_frame(sim.t, outcomes)
+    out = (outcomes & sim.t.code.logical_x).bit_count()
+    for dec, syndrome in zip(sim.block_decoders, res.block_syndromes):
+        out += (dec.decode_cells(syndrome) & dec.lx).bit_count()
+    return out & 1
+
+
+MEMO_CHAINS = [(1, 3), (1, 5), (2, 3), (4, 5), (5, 3), (2, 7)]
+
+
+@pytest.mark.parametrize("k, L", MEMO_CHAINS)
+def test_memoised_decode_equals_split_then_decode(k, L):
+    sim = ChainSim(build_tetrahelix(k, L))
+    n = sim.t.code.n
+    rng = np.random.default_rng(100 * k + L)
+    words = [
+        gf2.vector_from_support(rng.choice(n, int(rng.integers(1, 9)), replace=False).tolist())
+        for _ in range(150)
+    ]
+    words += [int.from_bytes(rng.bytes(n // 8 + 1), "little") % (1 << n) for _ in range(10)]
+    want = [_split_then_decode(sim, o) for o in words]
+    assert [sim._decode(o) for o in words] == want  # cold: a miss per new syndrome
+    assert 0 < len(sim._final_memo) <= len(words)
+    assert [sim._decode(o) for o in words] == want  # warm: every syndrome hits
+    # the same syndromes under other words: noiseless outcomes added
+    shifted = [o ^ sim.sample_reference(rng) for o in words]
+    assert [sim._decode(o) for o in shifted] == [_split_then_decode(sim, o) for o in shifted]
+
+
+@pytest.mark.parametrize("k, L", MEMO_CHAINS)
+def test_prep_memo_entries_are_the_effects_of_their_decodes(k, L):
+    # each entry is what decode_prep's X pattern does: x̂ in chain
+    # coordinates in layer_x, its Z-bar parity at bit b of prep_logical and
+    # its pair words on the two merges of block b, nothing else
+    sim = ChainSim(build_tetrahelix(k, L))
+    sim.run_batch(NoiseModel(0.03), 41, 0)
+    lay, t = sim.layout, sim.t
+    assert sim._prep_memo
+    for key, fix in sim._prep_memo.items():
+        (b,) = [b for b, (shift, mask) in enumerate(lay.prep_syndrome) if key >> shift & mask]
+        shift, mask = lay.prep_syndrome[b]
+        assert key == (key >> shift & mask) << shift
+        dec = sim.block_decoders[b]
+        xhat, _ = dec.decode_prep(key >> shift)
+        want = xhat << t.block_offset(b) << lay.layer_x[0]
+        want ^= ((xhat & dec.lz).bit_count() & 1) << lay.prep_logical[0] + b
+        for j, side in ((b - 1, 1), (b, 0)):  # b is merge b - 1's right side, merge b's left
+            if 0 <= j < k - 1:
+                pairs = t.pairings[j].pairs
+                word = gf2.vector_from_support(
+                    p for p, pair in enumerate(pairs) if xhat >> pair[side] & 1
+                )
+                want ^= word << lay.pair_x[j][0]
+        assert fix == want
+
+
+def test_memos_stay_within_the_cap_and_warm_equals_fresh(monkeypatch):
+    # the cap is lowered so that two batches of k=4, L=5, eps=0.05 trials
+    # empty each memo several times
+    model, k, L, trials = NoiseModel(0.05), 4, 5, 2 * BATCH
+    fresh = ChainSim(build_tetrahelix(k, L))
+    with monkeypatch.context() as patch:
+        patch.setattr(ChainSim, "build", classmethod(lambda cls, k, L: fresh))
+        want = harness.logical_error_rate(L, k, model, trials, seed=31)
+    monkeypatch.setattr(harness, "MEMO_MAX", 64)
+    sim = ChainSim.build(k, L)
+    sizes = []
+    remember = harness._remember
+
+    def recording_remember(memo, key, value):
+        remember(memo, key, value)
+        sizes.append(len(memo))
+
+    monkeypatch.setattr(harness, "_remember", recording_remember)
+    assert harness.logical_error_rate(L, k, model, trials, seed=31) == want
+    assert max(sizes) == 64 and sizes.count(1) > 4  # a first entry per memo, and one per emptying
+    # with the memos the run left behind, the trials repeat exactly
+    assert sim.run_batch(model, 31, 1) == fresh.run_batch(model, 31, 1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tetriqp import iqp
+from tetriqp.rng import make_rng
 
 
 def rand_circuit(rng, n, p_cs=0.4):
@@ -64,6 +65,33 @@ def test_prob_zero_matches_statevector():
     for _ in range(100):
         c = rand_circuit(rng, rng.randrange(1, 9))
         assert abs(iqp.prob_zero(c) - float(iqp.exact_distribution(c).probs[0])) <= 1e-9
+
+
+def _sample_circuit_reference(n, gamma, seed):
+    """sample_circuit's draws made one at a time: one rng.random() per pair
+    i < j in row-major order, then one rng.integers(0, 4) per CS gate."""
+    rng = make_rng(seed)
+    t = tuple(int(x) for x in rng.integers(0, 8, size=n))
+    p = min(1.0, gamma * math.log2(n) / n) if n > 1 else 0.0
+    cs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                cs.append((i, j, int(rng.integers(0, 4))))
+    return iqp.IqpCircuit(n, t, tuple(cs), gamma=gamma, seed=seed)
+
+
+def test_sample_circuit_equals_the_scalar_draws():
+    # n = 1 has no pair, gamma = 8 gives p = 1 at n = 2 and 4, and odd and
+    # even n leave the generator with and without a held 32-bit half
+    cases = [
+        (n, gamma, seed)
+        for n in (1, 2, 3, 4, 5, 8, 13, 33)
+        for gamma in (0.0, 0.7, 1.0, 8.0)
+        for seed in range(4)
+    ]
+    for n, gamma, seed in cases + [(200, 1.0, 0), (200, 1.0, 1)]:
+        assert iqp.sample_circuit(n, gamma, seed) == _sample_circuit_reference(n, gamma, seed)
 
 
 def test_sampler_gamma_zero():

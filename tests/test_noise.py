@@ -49,13 +49,29 @@ def _propagate_oracle(faults, t):
     return prep_data_x, prep_meas, pair_flips, layer_x, outcome_flips
 
 
-def _pack(oracle, layout):
-    """The oracle's result as one effect word in the layout's fields."""
+def _pack(oracle, t, layout):
+    """The oracle's result as one effect word in the layout's fields. The X
+    pattern x_b entering block b is mapped here: H_z x_b joins the face
+    flips, its Z-bar parity sets bit b of prep_logical, each pair (vl, vr)
+    of merge j reads x_j[vl] ^ x_{j+1}[vr], and x_b joins the layer pattern
+    in chain coordinates."""
     prep_data_x, prep_meas, pair_flips, layer_x, outcome_flips = oracle
+    syndromes, logical = dict(prep_meas), 0
+    for b, x in prep_data_x.items():
+        code = t.blocks[b].code
+        syndromes[b] = syndromes.get(b, 0) ^ code.z_syndrome(x)
+        logical ^= ((x & code.logical_z).bit_count() & 1) << b
+        layer_x ^= x << t.block_offset(b)
+    pair_x = {}
+    for j, pr in enumerate(t.pairings):
+        left, right = prep_data_x.get(j, 0), prep_data_x.get(j + 1, 0)
+        for p, (vl, vr) in enumerate(pr.pairs):
+            pair_x[j] = pair_x.get(j, 0) ^ ((left >> vl ^ right >> vr) & 1) << p
     word = layer_x << layout.layer_x[0] ^ outcome_flips << layout.outcome_flips[0]
+    word ^= logical << layout.prep_logical[0]
     for fields, parts in (
-        (layout.prep_x, prep_data_x), (layout.prep_meas, prep_meas),
-        (layout.pair_flips, pair_flips),
+        (layout.prep_syndrome, syndromes), (layout.pair_flips, pair_flips),
+        (layout.pair_x, pair_x),
     ):
         for i, v in parts.items():
             word ^= v << fields[i][0]
@@ -104,7 +120,8 @@ def test_layout_structure(chain2, layout):
 def test_effects_match_the_oracle(k, L):
     t = build_tetrahelix(k, L)
     lay = stage_layout(t)
-    fields = [*lay.prep_x, *lay.prep_meas, *lay.pair_flips, lay.layer_x, lay.outcome_flips]
+    pairs = [field for merge in zip(lay.pair_flips, lay.pair_x) for field in merge]
+    fields = [*lay.prep_syndrome, lay.prep_logical, *pairs, lay.layer_x, lay.outcome_flips]
     # the fields tile the word from bit 0 up, in order, without overlap
     assert [shift for shift, _ in fields] == list(
         itertools.accumulate((mask.bit_length() for _, mask in fields[:-1]), initial=0)
@@ -112,7 +129,7 @@ def test_effects_match_the_oracle(k, L):
     assert len(lay.effects) == 4 * lay.size
     for i, loc in enumerate(lay.locations):
         for j, label in enumerate(noise._LABELS):
-            assert lay.effects[4 * i + j] == _pack(_propagate_oracle([(loc, label)], t), lay)
+            assert lay.effects[4 * i + j] == _pack(_propagate_oracle([(loc, label)], t), t, lay)
 
 
 def test_epsilon_extremes(layout):
@@ -251,7 +268,7 @@ def test_propagate_linearity(chain2, layout):
     b = propagate(joint, layout)
     assert a == b
     faults = [(layout.locations[c // 4], noise._LABELS[c % 4]) for c in joint]
-    assert b == _pack(_propagate_oracle(faults, chain2), layout)
+    assert b == _pack(_propagate_oracle(faults, chain2), chain2, layout)
 
 
 def test_twirl_statevector_family_average():
