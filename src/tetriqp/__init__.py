@@ -7,7 +7,7 @@ from .colex import Colex, build_tetrahedral_colex, facet_code, validate_colex
 from .csscode import CssCode, distance, find_t_partition, from_colex, logical_count
 from .iqp import IqpCircuit, exact_distribution, prob_zero, sample_circuit
 from .noise import NoiseModel
-from .surgery import Block, TetrahelixCode, build_tetrahelix, merge
+from .surgery import Block, TetrahelixCode, build_tetrahelix
 
 __all__ = [
     "Colex",
@@ -24,7 +24,6 @@ __all__ = [
     "find_t_partition",
     "from_colex",
     "logical_count",
-    "merge",
     "prob_zero",
     "sample_circuit",
     "validate_colex",

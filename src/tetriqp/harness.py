@@ -21,8 +21,10 @@ block's preparation face syndrome, and its final decode depends on the
 outcome flips only through their X-bar parity and their chain syndrome. So
 the simulator memoises the preparation fix per face syndrome and the final
 correction parity per chain syndrome (see `ChainSim.correct` and
-`ChainSim._decode`). Each memo holds at most MEMO_MAX entries, is emptied
-when full and at the start of every run, and changes no result.
+`ChainSim._decode`). The memos live as long as their simulator, so across
+runs and across the points of a scan. Each holds at most MEMO_MAX entries and
+is emptied only when full; a hit returns what a miss would compute, so the
+memos change no result, only which decoder calls a run makes.
 
 A trial fails when the decoded logical of its noisy outcome flips f is 1.
 That is the event that the noisy outcome decodes differently
@@ -63,6 +65,7 @@ from .surgery import TetrahelixCode, build_tetrahelix
 MAX_L = 7  # largest block distance a config or logical_error_rate accepts
 MAX_K = 8  # longest chain: k and ks of a config, the e2e depth cap max_k
 MEMO_MAX = 1 << 12  # entries per decode memo of a ChainSim; emptied when full
+BUILT_MAX_L = 9  # largest L whose block size `overhead` builds rather than fits
 
 
 def _is_a(value, kind) -> bool:
@@ -168,9 +171,13 @@ class ExperimentConfig:
 class TrialResult:
     failed: bool  # the decoded logical of the outcome flips is 1
     sector_flips: tuple[int, ...]  # per merge: residual logical misalignment
-    merge_noncorrectable: int  # count of wrong merge decodes (= sector flips)
     prep_noncorrectable: int  # blocks whose residual acts as the X logical
     n_faults: int
+
+    @property
+    def merge_noncorrectable(self) -> int:
+        """The count of wrong merge decodes, one per sector flip."""
+        return sum(self.sector_flips)
 
     @property
     def corrupted(self) -> bool:
@@ -206,21 +213,13 @@ class ChainSim:
                     self._owner[bit] = i
         self._prep_memo = {}  # a block's face syndrome, in place in the effect -> fix
         self._final_memo = {}  # chain syndrome -> parity F of the block decodes
-        self._fault_free = TrialResult(False, (0,) * len(t.pairings), 0, 0, 0)
+        self._fault_free = TrialResult(False, (0,) * len(t.pairings), 0, 0)
 
     @classmethod
     @functools.cache
     def build(cls, k: int, L: int) -> "ChainSim":
         """The simulator of the (k, L) chain, built once per process."""
         return cls(build_tetrahelix(k, L))
-
-    def clear_memos(self) -> None:
-        """Empty the prep and final memos. Each run starts with them empty,
-        so that a run's decoder calls, and so its cost and its per-layer
-        trace, do not depend on the runs made before it in the process.
-        Results never do."""
-        self._prep_memo.clear()
-        self._final_memo.clear()
 
     def sample_reference(self, rng) -> int:
         """A uniformly random noiseless outcome vector, an element of ker(Hx).
@@ -258,7 +257,6 @@ class ChainSim:
         return TrialResult(
             failed=flips != 0 and self._decode(flips) != 0,
             sector_flips=sector,
-            merge_noncorrectable=sum(sector),
             prep_noncorrectable=prep_nc,
             n_faults=len(faults),
         )
@@ -347,7 +345,8 @@ class ChainSim:
 
 def _remember(memo: dict, key: int, value: int) -> None:
     """Store a decode in one of a ChainSim's memos, emptying it first when
-    it holds MEMO_MAX entries."""
+    it holds MEMO_MAX entries. Nothing else empties a memo: it keeps its
+    entries across the runs of its simulator."""
     if len(memo) >= MEMO_MAX:
         memo.clear()
     memo[key] = value
@@ -379,7 +378,6 @@ def _count_chunk(args) -> tuple[tuple[int, int, int, int], list | None]:
     `trace` is set (else None)."""
     L, k, model, seed, start, stop, trace = args
     sim = ChainSim.build(k, L)
-    sim.clear_memos()
     fails = merge_nc = prep_nc = corrupt = 0
     records = [] if trace else None
     for first in range(start, stop, BATCH):
@@ -594,7 +592,6 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
         raise ValueError(f"sampled circuit depth {k} exceeds the chain cap {config.max_k}")
     ideal = exact_distribution(circuit)
     sim = ChainSim.build(k, config.L)
-    sim.clear_memos()
     model = config.noise_model()
 
     # alignments -> CDF of the effective circuit; all aligned is the ideal one
@@ -671,10 +668,10 @@ def overhead(
     c_k: float = 1.0,
     c_l: float = 1.0,
     c_r: float = 1.0,
-    max_l: int = 9,
 ) -> OverheadPlan:
     """Parameter plan: k = ceil(c_k log2 N), L from the precision relation,
-    with k = O(L) enforced; block size built exactly when possible."""
+    with k = O(L) enforced; block size built exactly for an odd L from 3 to
+    BUILT_MAX_L, else extrapolated from a fit."""
     if n_logical < 1:
         raise ValueError(f"n (logical qubits) must be >= 1, got {n_logical}")
     if not 0 < epsilon < eps_th:
@@ -687,7 +684,7 @@ def overhead(
     k = max(1, math.ceil(c_k * math.log2(n_logical)))
     l_precision = math.ceil(c_l * math.log(n_logical / delta) / math.log(eps_th / epsilon))
     L = max(math.ceil(k / c_r), l_precision)
-    buildable = L >= 3 and L % 2 == 1 and L <= max_l
+    buildable = L >= 3 and L % 2 == 1 and L <= BUILT_MAX_L
     if buildable:
         m = build_tetrahedral_colex(L).n
         extrapolated = False

@@ -1,14 +1,14 @@
 """Lattice-surgery merges of tetrahedral codes into tetrahelix chains.
 
-A merge glues two blocks along a facet: the pair (v, phi(v)) of facet
-vertices becomes a weight-2 Z stabilizer, and the X stabilizers whose traces
-on the two facets correspond under phi are fused. Chains are k copies of one
-block glued by the identity pairing (a mirror image of the block is the same
-complex, and the reflection fixes the shared facet pointwise), with merge j
-along facet color j mod 4 so that consecutive pairings of a middle block
-share a lattice edge; cells on those edges fuse across three blocks and cells
-on corners across four. So k and the block colex fix a chain, and a chain
-file holds just those two.
+A chain is k copies of one block. Merge j glues block j to block j + 1 along
+their facets of color j mod 4 by the identity (a mirror image of the block is
+the same complex, and the reflection fixes the shared facet pointwise): each
+facet vertex v gives the pair (v, v), a weight-2 Z stabilizer on v of both
+blocks, and each cell that meets the facet is fused with its copy. Facet
+colors cycle so that consecutive pairings of a middle block share a lattice
+edge; cells on those edges fuse across three blocks and cells on corners
+across four. So k and the block colex fix a chain, and a chain file holds
+just those two.
 
 The split used at decode time is software-only: it applies a product of
 pair stabilizers, merge by merge, that gives each block the cell syndrome of
@@ -99,56 +99,38 @@ class TetrahelixCode:
         return SplitContext(self)
 
 
-def _facet_traces(colex: Colex, facet_color: int):
-    """(facet vertex tuple, {cell index: trace set}) for one facet."""
-    fac = colex.facet(facet_color)
-    fs = set(fac.vertices)
+def _identity_pairing(colex: Colex, facet_color: int) -> tuple[Pairing, tuple[int, ...]]:
+    """Glue the color-`facet_color` facet of a block to that of its copy by
+    the identity: (the pairing of each facet vertex v with v, the cells that
+    meet the facet, each fused with its copy). Refuses a block in which two
+    cells have the same trace on the facet, as an imported colex may."""
+    facet = set(colex.facet(facet_color).vertices)
     traces = {}
     for ci, cell in enumerate(colex.cells):
-        t = fs & set(cell.vertices)
+        t = facet.intersection(cell.vertices)
         if t:
             traces[ci] = frozenset(t)
-    return tuple(sorted(fac.vertices)), traces
+    if len(set(traces.values())) != len(traces):
+        raise MergeError(f"block has duplicate color-{facet_color} facet traces")
+    return Pairing(facet_color, tuple((v, v) for v in sorted(facet))), tuple(traces)
 
 
-def _match_pairing(left: Block, right: Block, facet_color: int, phi) -> tuple[Pairing, dict]:
-    """Build the pairing and the fused-cell map for one merge.
+def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCode:
+    """Chain of k copies of one tetrahedral block; merge j glues facet j mod 4
+    of block j to that of block j + 1 by the identity."""
+    if k < 1:
+        raise MergeError(f"k must be >= 1, got {k}")
+    if block is None:
+        from .colex import build_tetrahedral_colex
 
-    phi maps left-block vertex ids to right-block vertex ids; it must send
-    the left facet onto the right facet of the same color, and each left cell
-    trace onto exactly one right cell trace.
-    """
-    lverts, ltraces = _facet_traces(left.colex, facet_color)
-    rverts, rtraces = _facet_traces(right.colex, facet_color)
-    mapped = [phi[v] for v in lverts]
-    if sorted(mapped) != list(rverts):
-        raise MergeError(
-            f"phi does not map the color-{facet_color} facet onto the right block's"
-        )
-    pairs = tuple((v, phi[v]) for v in lverts)
-    rtrace_to_cell = {t: ci for ci, t in rtraces.items()}
-    if len(rtrace_to_cell) != len(rtraces):
-        raise MergeError("right block has duplicate facet traces")
-    cell_map = {}
-    for ci, t in ltraces.items():
-        image = frozenset(phi[v] for v in t)
-        partner = rtrace_to_cell.get(image)
-        if partner is None:
-            raise MergeError(f"left cell {ci} trace has no matching right cell")
-        if left.colex.cells[ci].color != right.colex.cells[partner].color:
-            raise MergeError(f"fused cells {ci}/{partner} differ in color")
-        cell_map[ci] = partner
-    return Pairing(facet_color, pairs), cell_map
-
-
-def _assemble(blocks, pairings, cell_maps) -> TetrahelixCode:
-    k = len(blocks)
-    offsets = list(itertools.accumulate((b.code.n for b in blocks[:-1]), initial=0))
-    n = offsets[-1] + blocks[-1].code.n
+        block = Block.build(build_tetrahedral_colex(L))
+    merges = [_identity_pairing(block.colex, j % 4) for j in range(k - 1)]
+    m = block.code.n
+    n = k * m
 
     def glob(b, row):
         """A block's bit row in global coordinates."""
-        return row << offsets[b]
+        return row << (b * m)
 
     # union-find over (block, cell)
     parent = {}
@@ -164,12 +146,12 @@ def _assemble(blocks, pairings, cell_maps) -> TetrahelixCode:
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
 
-    for b, blk in enumerate(blocks):
-        for ci in range(len(blk.colex.cells)):
+    for b in range(k):
+        for ci in range(len(block.colex.cells)):
             parent.setdefault((b, ci), (b, ci))
-    for j, cmap in enumerate(cell_maps):
-        for ci, cj in cmap.items():
-            union((j, ci), (j + 1, cj))
+    for j, (_, cells) in enumerate(merges):
+        for ci in cells:
+            union((j, ci), (j + 1, ci))
 
     classes = {}
     for key in parent:
@@ -182,53 +164,31 @@ def _assemble(blocks, pairings, cell_maps) -> TetrahelixCode:
     for cls in fused:
         row = 0
         for b, ci in cls:
-            row ^= glob(b, blocks[b].code.hx.rows[ci])
+            row ^= glob(b, block.code.hx.rows[ci])
         hx_rows.append(row)
         hx_labels.append(("cells", cls))
 
     hz_rows, hz_labels = [], []
-    for b, blk in enumerate(blocks):
-        for fi, row in enumerate(blk.code.hz.rows):
+    for b in range(k):
+        for fi, row in enumerate(block.code.hz.rows):
             hz_rows.append(glob(b, row))
             hz_labels.append(("face", b, fi))
-    for j, pr in enumerate(pairings):
+    for j, (pr, _) in enumerate(merges):
         for pi, (vl, vr) in enumerate(pr.pairs):
             hz_rows.append(glob(j, 1 << vl) | glob(j + 1, 1 << vr))
             hz_labels.append(("pair", j, pi))
 
-    block_lx = tuple(glob(b, blk.code.logical_x) for b, blk in enumerate(blocks))
+    block_lx = tuple(glob(b, block.code.logical_x) for b in range(k))
     code = CssCode(
         n,
         gf2.BitMatrix.make(hx_rows, n, hx_labels),
         gf2.BitMatrix.make(hz_rows, n, hz_labels),
         functools.reduce(operator.xor, block_lx),
-        blocks[0].code.logical_z,
+        block.code.logical_z,
     )
-    maps = tuple(tuple(sorted(cmap.items())) for cmap in cell_maps)
+    maps = tuple(tuple((ci, ci) for ci in cells) for _, cells in merges)
     return TetrahelixCode(
-        k, tuple(blocks), tuple(pairings), fused, code, block_lx, maps
-    )
-
-
-def merge(left: Block, right: Block, facet_color: int, phi) -> TetrahelixCode:
-    """Merge two blocks along a facet into a 2-tetrahelix code."""
-    pairing, cmap = _match_pairing(left, right, facet_color, phi)
-    return _assemble([left, right], [pairing], [cmap])
-
-
-def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCode:
-    """Chain of k copies of one tetrahedral block; merge j glues facet j mod 4
-    of block j to that of block j + 1 by the identity."""
-    if k < 1:
-        raise MergeError(f"k must be >= 1, got {k}")
-    if block is None:
-        from .colex import build_tetrahedral_colex
-
-        block = Block.build(build_tetrahedral_colex(L))
-    identity = range(block.code.n)
-    merges = [_match_pairing(block, block, j % 4, identity) for j in range(k - 1)]
-    return _assemble(
-        [block] * k, [p for p, _ in merges], [cmap for _, cmap in merges]
+        k, (block,) * k, tuple(pr for pr, _ in merges), fused, code, block_lx, maps
     )
 
 

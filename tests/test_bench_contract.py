@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from tetriqp import harness
-from tetriqp.harness import ExperimentConfig
+from tetriqp.harness import ChainSim, ExperimentConfig
 from tetriqp.noise import NoiseModel
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,7 +30,12 @@ def _run():
 
 
 def test_traced_run_matches_untraced_and_enters_every_layer():
+    # each run starts cold, with new simulators and so empty decode memos,
+    # as the benchmark's traced pass does in its own interpreter; the cache
+    # is cleared before install, whose wrapper of `build` has no cache_clear
+    ChainSim.build.cache_clear()
     want = _run()
+    ChainSim.build.cache_clear()
     tracer = _tracer_module().Tracer().install()
     try:
         got = _run()

@@ -49,6 +49,22 @@ def test_code_check_corrupted_chain(tmp_path):
     assert run(["code", "check", "--in", str(p)]) == 1
 
 
+def test_code_check_refuses_duplicate_facet_traces(tmp_path, capsys):
+    # a block colex with two cells of one trace on a merge facet cannot be
+    # glued to its copy cell by cell: bad input, not a failed check
+    p = tmp_path / "chain.json"
+    assert run(["code", "build", "--L", "3", "--k", "2", "--out", str(p)]) == 0
+    d = json.loads(p.read_text())
+    colex = d["block_colex"]
+    facet = set(next(f for f in colex["facets"] if f["missing_color"] == 0)["vertices"])
+    cell = next(c for c in colex["cells"] if facet & set(c["vertices"]))
+    colex["cells"].append(dict(cell))
+    p.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["code", "check", "--in", str(p)]) == 2
+    assert "duplicate color-0 facet traces" in capsys.readouterr().err
+
+
 def _set(key, value):
     def edit(d):
         d[key] = value

@@ -553,5 +553,10 @@ def test_memos_stay_within_the_cap_and_warm_equals_fresh(monkeypatch):
     monkeypatch.setattr(harness, "_remember", recording_remember)
     assert harness.logical_error_rate(L, k, model, trials, seed=31) == want
     assert max(sizes) == 64 and sizes.count(1) > 4  # a first entry per memo, and one per emptying
-    # with the memos the run left behind, the trials repeat exactly
+    # no run empties the memos: a second run starts from the first one's
+    # entries and still estimates what a fresh simulator does
+    assert harness.logical_error_rate(L, k, model, trials, seed=31) == want
+    # with the memos the runs left behind, the trials repeat exactly
     assert sim.run_batch(model, 31, 1) == fresh.run_batch(model, 31, 1)
+    cfg = ExperimentConfig(n=3, epsilon=0.05, gamma=1.0, trials=300, seed=4, L=3)
+    assert harness.end_to_end(cfg) == harness.end_to_end(cfg)

@@ -185,23 +185,6 @@ def test_split_frame_commutes_with_logical(chain2):
         assert (o & xbar).bit_count() & 1 == (o2 & xbar).bit_count() & 1
 
 
-def test_merge_facet_mismatch(block3):
-    phi = list(range(15))
-    phi[0], phi[1] = phi[1], phi[0]  # break the facet alignment if 0/1 straddle
-    fac = set(block3.colex.facet(0).vertices)
-    if (0 in fac) != (1 in fac):
-        with pytest.raises(sg.MergeError):
-            sg.merge(block3, block3, 0, phi)
-    else:
-        # pick a pair that straddles the facet boundary
-        inside = min(fac)
-        outside = min(set(range(15)) - fac)
-        phi = list(range(15))
-        phi[inside], phi[outside] = phi[outside], phi[inside]
-        with pytest.raises(sg.MergeError):
-            sg.merge(block3, block3, 0, phi)
-
-
 def test_chain_file_round_trip(tmp_path):
     # a chain file holds k and the block colex; import rebuilds every other
     # field through build_tetrahelix, labels and merge cell maps included
