@@ -8,6 +8,7 @@ from tetriqp import colex as cx
 from tetriqp import csscode as cc
 from tetriqp import gf2
 from tetriqp import surgery as sg
+from tetriqp.noise import stage_layout
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,37 @@ def _noisy_words(t, seed, count):
                 o ^= 1 << rng.randrange(t.code.n)
         out.append(o)
     return out
+
+
+def _chain_digest(t):
+    """sha256 of a chain's code (rows, labels, logicals), its fused cells
+    and its stage layout."""
+    c = t.code
+    h = hashlib.sha256()
+    for m in (c.hx, c.hz):
+        h.update(repr((m.cols, m.rows, m.labels)).encode())
+    h.update(repr((c.n, c.logical_x, c.logical_z, t.fused_cells)).encode())
+    h.update(repr(stage_layout(t)).encode())
+    return h.hexdigest()
+
+
+CHAIN_PINS = {  # _chain_digest(build_tetrahelix(k, L))
+    (1, 3): "da71a56dd68b4e9e58e85127ad574c6b3e0ab686a2f1d93346cbe32b97d60ffd",
+    (2, 3): "f3aa12d64757b1dfbc44dc97a11e38c5a203f00a4db24ffbeffd9967645efa87",
+    (3, 3): "04434d4b93e56f73fee2d00629c1b2690ed8004c71f8c62e052c4c5bd581f5bc",
+    (4, 3): "daafe8c8a273b82dd36a1329daa8ebe743a9860aea7681c216a9f46b7d4e5a9b",
+    (5, 3): "70da124775075b0fed7cfeab0f968f6bc16ec082ad7604c1ba98f71b5f9247b6",
+    (8, 3): "e3253a64080c1a3da679f5146a318e551c1bdac8cce72ff3c24c2782ad567c77",
+    (2, 5): "78acc1b2c248fb39d16c8be36ba3afcde40963f4d714c61391a8fa0a50c916fb",
+    (4, 5): "d550f5391abed1bfaf452fe8bce3bd1dd067eaffc58f70b638adb3417e057e26",
+    (2, 7): "5287a520d5adc777fad6f598e73e37c3789f98da8d20ea14d1a976e459e13e02",
+}
+
+
+@pytest.mark.parametrize("k,L", CHAIN_PINS)
+def test_chain_pinned(k, L):
+    # a chain's structure is fixed by (k, L); a refactor of the chain keeps it
+    assert _chain_digest(sg.build_tetrahelix(k, L)) == CHAIN_PINS[k, L]
 
 
 SPLIT_PINS = {  # sha256 of the split's outputs on _noisy_words(t, 1000k + L, 200)
