@@ -52,12 +52,11 @@ def cmd_code_build(args) -> int:
 def cmd_code_check(args) -> int:
     chain = _load_chain(args.infile)
     ok = True
-    for b, block in enumerate(dict.fromkeys(chain.blocks)):
-        rep = validate_colex(block.colex)
-        if not rep.passed:
-            ok = False
-            for name, off in rep.failures():
-                _err(f"block {b}: FAILED {name}: offenders {off}")
+    rep = validate_colex(chain.block.colex)
+    if not rep.passed:
+        ok = False
+        for name, off in rep.failures():
+            _err(f"block: FAILED {name}: offenders {off}")
     if not chain.code.check_commutation():
         ok = False
         _err("chain check matrices do not commute")
@@ -86,7 +85,7 @@ def cmd_code_distance(args) -> int:
 
 def cmd_code_t_partition(args) -> int:
     chain = _load_chain(args.infile)
-    code = chain.blocks[0].code
+    code = chain.block.code
     try:
         tp = csscode.find_t_partition(code)
     except csscode.EnumerationTooLarge as e:

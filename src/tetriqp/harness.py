@@ -191,10 +191,10 @@ class ChainSim:
     def __init__(self, t: TetrahelixCode):
         self.t = t
         self.layout = stage_layout(t)
-        self.block_decoders = [BlockDecoder(b) for b in t.blocks]
+        self.block_decoder = BlockDecoder(t.block)
+        # merge j decodes its pair word on facet color j mod 4
         self.facet_decoders = [
-            FacetDecoder(facet_code(t.blocks[j].colex, pr.facet_color))
-            for j, pr in enumerate(t.pairings)
+            FacetDecoder(facet_code(t.block.colex, c)) for c in range(min(t.k - 1, 4))
         ]
         self.kernel = gf2.kernel_basis(t.code.hx.rows, t.code.n)
         self._streams = TrialStreams()
@@ -213,7 +213,7 @@ class ChainSim:
                     self._owner[bit] = i
         self._prep_memo = {}  # a block's face syndrome, in place in the effect -> fix
         self._final_memo = {}  # chain syndrome -> parity F of the block decodes
-        self._fault_free = TrialResult(False, (0,) * len(t.pairings), 0, 0)
+        self._fault_free = TrialResult(False, (0,) * (t.k - 1), 0, 0)
 
     @classmethod
     @functools.cache
@@ -299,10 +299,11 @@ class ChainSim:
                 words &= ~self._pair_fields[j]
                 flips = effect >> lay.pair_flips[j][0] & lay.pair_flips[j][1]
                 x_word = effect >> lay.pair_x[j][0] & lay.pair_x[j][1]
-                xhat, _ = self.facet_decoders[j].decode(x_word ^ flips)
-                xtrue, _ = self.facet_decoders[j].decode(x_word)
+                dec = self.facet_decoders[j % 4]
+                xhat, _ = dec.decode(x_word ^ flips)
+                xtrue, _ = dec.decode(x_word)
                 if xhat:
-                    x_diff ^= self.t.block_logical_x[j]
+                    x_diff ^= self.t.block_logical_x(j)
                 sector[j] = xhat ^ xtrue
             sector = tuple(sector)
         shift, mask = lay.outcome_flips
@@ -315,7 +316,7 @@ class ChainSim:
         parity of x̂ against Z-bar at bit b of prep_logical, and the pair
         words of x̂ on merge b - 1's right side and merge b's left side."""
         shift, _ = self.layout.prep_syndrome[b]
-        xhat, _ = self.block_decoders[b].decode_prep(key >> shift)
+        xhat, _ = self.block_decoder.decode_prep(key >> shift)
         effects, g0 = self.layout.effects, self.t.block_offset(b)
         fix = 0
         for q in gf2.support(xhat):
@@ -336,8 +337,8 @@ class ChainSim:
         f = self._final_memo.get(sigma)
         if f is None:
             res = surgery.split_frame(self.t, outcomes)
-            f = 0
-            for dec, syndrome in zip(self.block_decoders, res.block_syndromes):
+            dec, f = self.block_decoder, 0
+            for syndrome in res.block_syndromes:
                 f ^= (dec.decode_cells(syndrome) & dec.lx).bit_count() & 1
             _remember(self._final_memo, sigma, f)
         return ((outcomes & self.t.code.logical_x).bit_count() ^ f) & 1

@@ -120,11 +120,12 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
     measurement location or a flip on a data location acts trivially.
     """
     n, k = t.code.n, t.k
-    sizes = [blk.code.n for blk in t.blocks]
-    faces = [len(blk.colex.faces) for blk in t.blocks]
-    pairs = [len(pr.pairs) for pr in t.pairings]
-    face_at = list(itertools.accumulate(faces, initial=0))
-    logical_at = face_at[-1]
+    block = t.block
+    m, faces = block.code.n, len(block.colex.faces)
+    facets = [t.merge_facet(j) for j in range(k - 1)]
+    pairs = [len(facet) for facet in facets]
+    face_at = [b * faces for b in range(k)]
+    logical_at = k * faces
     merge_at = list(itertools.accumulate((2 * c for c in pairs), initial=logical_at + k))
     pair_at = merge_at[:-1]
     pair_x_at = [at + c for at, c in zip(pair_at, pairs)]
@@ -133,17 +134,17 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
 
     # the X image of every chain qubit entering preparation
     x_image = [1 << layer_at + g for g in range(n)]
-    for b, blk in enumerate(t.blocks):
+    for b in range(k):
         g0 = t.block_offset(b)
-        for f, row in enumerate(blk.code.hz.rows):
+        for f, row in enumerate(block.code.hz.rows):
             for q in gf2.support(row):
                 x_image[g0 + q] ^= 1 << face_at[b] + f
-        for q in gf2.support(blk.code.logical_z):
+        for q in gf2.support(block.code.logical_z):
             x_image[g0 + q] ^= 1 << logical_at + b
-    for j, pr in enumerate(t.pairings):
-        for p, (vl, vr) in enumerate(pr.pairs):
-            x_image[t.qubit(j, vl)] ^= 1 << pair_x_at[j] + p
-            x_image[t.qubit(j + 1, vr)] ^= 1 << pair_x_at[j] + p
+    for j, facet in enumerate(facets):
+        for p, v in enumerate(facet):
+            x_image[t.block_offset(j) + v] ^= 1 << pair_x_at[j] + p
+            x_image[t.block_offset(j + 1) + v] ^= 1 << pair_x_at[j] + p
 
     locs, effects = [], []
 
@@ -151,12 +152,10 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
         locs.append(loc)
         effects.extend((x, z, x ^ z, flip))  # the order of _LABELS
 
-    for b, size in enumerate(sizes):
-        for q in range(size):
-            g = t.qubit(b, q)
-            add((PREP_DATA, b, q), x=x_image[g], z=1 << outcome_at + g)
-    for b, count in enumerate(faces):
-        for f in range(count):
+    for g in range(n):
+        add((PREP_DATA, *divmod(g, m)), x=x_image[g], z=1 << outcome_at + g)
+    for b in range(k):
+        for f in range(faces):
             add((PREP_MEAS, b, f), flip=1 << face_at[b] + f)
     for j, count in enumerate(pairs):
         for p in range(count):
@@ -172,7 +171,7 @@ def stage_layout(t: TetrahelixCode) -> StageLayout:
     return StageLayout(
         tuple(locs),
         tuple(effects),
-        prep_syndrome=fields(face_at, faces),
+        prep_syndrome=fields(face_at, [faces] * k),
         prep_logical=(logical_at, (1 << k) - 1),
         pair_flips=fields(pair_at, pairs),
         pair_x=fields(pair_x_at, pairs),

@@ -5,10 +5,11 @@ their facets of color j mod 4 by the identity (a mirror image of the block is
 the same complex, and the reflection fixes the shared facet pointwise): each
 facet vertex v gives the pair (v, v), a weight-2 Z stabilizer on v of both
 blocks, and each cell that meets the facet is fused with its copy. Facet
-colors cycle so that consecutive pairings of a middle block share a lattice
+colors cycle so that consecutive merges of a middle block share a lattice
 edge; cells on those edges fuse across three blocks and cells on corners
-across four. So k and the block colex fix a chain, and a chain file holds
-just those two.
+across four. So k and the block fix a chain: a TetrahelixCode stores the one
+block, and derives each block's offset and X-bar and each merge's pairs from
+it; a chain file holds just k and the block colex.
 
 The split used at decode time is software-only: it applies a product of
 pair stabilizers, merge by merge, that gives each block the cell syndrome of
@@ -19,9 +20,7 @@ error its own tetrahedral decoder can resolve.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,53 +44,38 @@ class Block:
 
 
 @dataclass(frozen=True)
-class Pairing:
-    """Bijection between the merge facets of blocks j and j + 1 for merge j."""
-
-    facet_color: int
-    pairs: tuple[tuple[int, int], ...]  # (vertex in left block, vertex in right block)
-
-
-@dataclass(frozen=True)
 class TetrahelixCode:
+    """k copies of `block`, block b on chain qubits [b·m, (b + 1)·m) for a
+    block of m qubits. Pair p of merge j is (v, v), v being the p-th vertex
+    of `merge_facet(j)`. `fused_cells` lists the classes of (block, cell)
+    that form one cell check of `code`, in the order of its hx rows."""
+
     k: int
-    blocks: tuple[Block, ...]
-    pairings: tuple[Pairing, ...]
-    fused_cells: tuple[tuple[tuple[int, int], ...], ...]  # classes of (block, cell)
+    block: Block
+    fused_cells: tuple[tuple[tuple[int, int], ...], ...]
     code: CssCode
-    block_logical_x: tuple[int, ...]  # per-block X-bar in global coordinates
-    merge_cell_maps: tuple[tuple[tuple[int, int], ...], ...]  # per merge: (left cell, right cell)
-
-    @functools.cached_property
-    def block_offsets(self) -> tuple[int, ...]:
-        """Global index of each block's first qubit."""
-        return tuple(itertools.accumulate((b.code.n for b in self.blocks[:-1]), initial=0))
-
-    def qubit(self, block: int, local: int) -> int:
-        return self.block_offsets[block] + local
 
     def block_offset(self, block: int) -> int:
-        return self.block_offsets[block]
+        """Global index of the block's first qubit."""
+        return block * self.block.code.n
 
     def block_mask(self, block: int) -> int:
-        m = self.blocks[block].code.n
-        return ((1 << m) - 1) << self.block_offset(block)
+        return ((1 << self.block.code.n) - 1) << self.block_offset(block)
 
     def block_slice(self, v: int, block: int) -> int:
         """Restrict a global bit row to a block, re-indexed locally."""
-        m = self.blocks[block].code.n
-        return (v >> self.block_offset(block)) & ((1 << m) - 1)
+        return (v >> self.block_offset(block)) & ((1 << self.block.code.n) - 1)
+
+    def block_logical_x(self, block: int) -> int:
+        """The block's X-bar in global coordinates; X-bar is their XOR."""
+        return self.block.code.logical_x << self.block_offset(block)
+
+    def merge_facet(self, j: int) -> tuple[int, ...]:
+        """The ascending vertices of the facet that merge j glues."""
+        return tuple(sorted(self.block.colex.facet(j % 4).vertices))
 
     def max_fusion_span(self) -> int:
-        spans = [
-            max(b for b, _ in cls) - min(b for b, _ in cls) + 1
-            for cls in self.fused_cells
-        ]
-        return max(spans)
-
-    def chain_logicals(self) -> tuple[int, int, tuple[int, ...]]:
-        """(X-bar, Z-bar, per-block X-bar_i); X-bar is the XOR of the X-bar_i."""
-        return self.code.logical_x, self.code.logical_z, self.block_logical_x
+        return max(len(cls) for cls in self.fused_cells)
 
     @functools.cached_property
     def split_context(self) -> "SplitContext":
@@ -99,11 +83,11 @@ class TetrahelixCode:
         return SplitContext(self)
 
 
-def _identity_pairing(colex: Colex, facet_color: int) -> tuple[Pairing, tuple[int, ...]]:
-    """Glue the color-`facet_color` facet of a block to that of its copy by
-    the identity: (the pairing of each facet vertex v with v, the cells that
-    meet the facet, each fused with its copy). Refuses a block in which two
-    cells have the same trace on the facet, as an imported colex may."""
+def _identity_pairing(colex: Colex, facet_color: int) -> tuple[int, ...]:
+    """The cells that meet the color-`facet_color` facet, each fused with its
+    copy when the facet is glued to that of a copy of the block by the
+    identity. Refuses a block in which two cells have the same trace on the
+    facet, as an imported colex may."""
     facet = set(colex.facet(facet_color).vertices)
     traces = {}
     for ci, cell in enumerate(colex.cells):
@@ -112,7 +96,7 @@ def _identity_pairing(colex: Colex, facet_color: int) -> tuple[Pairing, tuple[in
             traces[ci] = frozenset(t)
     if len(set(traces.values())) != len(traces):
         raise MergeError(f"block has duplicate color-{facet_color} facet traces")
-    return Pairing(facet_color, tuple((v, v) for v in sorted(facet))), tuple(traces)
+    return tuple(traces)
 
 
 def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCode:
@@ -124,72 +108,51 @@ def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCo
         from .colex import build_tetrahedral_colex
 
         block = Block.build(build_tetrahedral_colex(L))
-    merges = [_identity_pairing(block.colex, j % 4) for j in range(k - 1)]
+    fused_by = [set(_identity_pairing(block.colex, c)) for c in range(min(k - 1, 4))]
     m = block.code.n
     n = k * m
 
-    def glob(b, row):
-        """A block's bit row in global coordinates."""
-        return row << (b * m)
-
-    # union-find over (block, cell)
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for b in range(k):
-        for ci in range(len(block.colex.cells)):
-            parent.setdefault((b, ci), (b, ci))
-    for j, (_, cells) in enumerate(merges):
-        for ci in cells:
-            union((j, ci), (j + 1, ci))
-
-    classes = {}
-    for key in parent:
-        classes.setdefault(find(key), []).append(key)
-    fused = tuple(
-        tuple(sorted(members)) for _, members in sorted(classes.items())
-    )
+    # cell ci of blocks b..e is one class when every merge b..e-1 fuses it
+    fused = []
+    for ci in range(len(block.colex.cells)):
+        b = 0
+        while b < k:
+            e = b
+            while e < k - 1 and ci in fused_by[e % 4]:
+                e += 1
+            fused.append(tuple((x, ci) for x in range(b, e + 1)))
+            b = e + 1
+    fused.sort()
 
     hx_rows, hx_labels = [], []
     for cls in fused:
         row = 0
         for b, ci in cls:
-            row ^= glob(b, block.code.hx.rows[ci])
+            row ^= block.code.hx.rows[ci] << b * m
         hx_rows.append(row)
         hx_labels.append(("cells", cls))
 
     hz_rows, hz_labels = [], []
     for b in range(k):
         for fi, row in enumerate(block.code.hz.rows):
-            hz_rows.append(glob(b, row))
+            hz_rows.append(row << b * m)
             hz_labels.append(("face", b, fi))
-    for j, (pr, _) in enumerate(merges):
-        for pi, (vl, vr) in enumerate(pr.pairs):
-            hz_rows.append(glob(j, 1 << vl) | glob(j + 1, 1 << vr))
+    for j in range(k - 1):
+        for pi, v in enumerate(sorted(block.colex.facet(j % 4).vertices)):
+            hz_rows.append((1 << v | 1 << v + m) << j * m)
             hz_labels.append(("pair", j, pi))
 
-    block_lx = tuple(glob(b, block.code.logical_x) for b in range(k))
+    lx = 0
+    for b in range(k):
+        lx ^= block.code.logical_x << b * m
     code = CssCode(
         n,
         gf2.BitMatrix.make(hx_rows, n, hx_labels),
         gf2.BitMatrix.make(hz_rows, n, hz_labels),
-        functools.reduce(operator.xor, block_lx),
+        lx,
         block.code.logical_z,
     )
-    maps = tuple(tuple((ci, ci) for ci in cells) for _, cells in merges)
-    return TetrahelixCode(
-        k, (block,) * k, tuple(pr for pr, _ in merges), fused, code, block_lx, maps
-    )
+    return TetrahelixCode(k, block, tuple(fused), code)
 
 
 # ---------------------------------------------------------------------------
@@ -208,42 +171,38 @@ class SplitContext:
     """Precomputed structure for the software split of one chain.
 
     Stores the decoder of the gauge-invariant chain stabilizers (the fused
-    cells), `chain`, and the cell decoder of each block, `cells`, both shared
+    cells), `chain`, and the cell decoder of the block, `cells`, both shared
     with every code that has the same checks. For merge j, `merges[j]` holds
-    one entry (row, rho, left, right) per cell of block j fused across that
-    merge, in the order of `merge_cell_maps[j]`: the cell's row in block j,
-    its dual pair pattern rho (a mask over the merge's pairs whose trace
-    parity is odd on this cell and even on every other fused cell), and the
-    outcome flips that rho makes on blocks j and j + 1.
+    one entry (row, rho, pattern) per cell that meets the merge facet, in
+    cell order: the cell's row in the block, its dual pair pattern rho (a
+    mask over the merge's pairs whose trace parity is odd on this cell and
+    even on every other fused cell), and the outcome flips that rho makes on
+    block j and, the pairs being (v, v), on block j + 1 alike.
     """
 
     def __init__(self, t: TetrahelixCode):
+        code = t.block.code
         self.chain = gf2.SyndromeDecoder.of(t.code.hx.rows, t.code.n)
-        self.cells = tuple(
-            gf2.SyndromeDecoder.of(b.code.hx.rows, b.code.n) for b in t.blocks
-        )
+        self.cells = gf2.SyndromeDecoder.of(code.hx.rows, code.n)
         self.merges = []
-        for j, pr in enumerate(t.pairings):
-            rows = [t.blocks[j].code.hx.rows[ci] for ci, _ in t.merge_cell_maps[j]]
+        for j in range(t.k - 1):
+            facet = t.merge_facet(j)
+            on_facet = gf2.vector_from_support(facet)
+            rows = [row for row in code.hx.rows if row & on_facet]
             traces = gf2.BitMatrix.make(
                 [
-                    gf2.vector_from_support(
-                        pi for pi, (vl, _) in enumerate(pr.pairs) if row >> vl & 1
-                    )
+                    gf2.vector_from_support(p for p, v in enumerate(facet) if row >> v & 1)
                     for row in rows
                 ],
-                len(pr.pairs),
+                len(facet),
             )
             rhos = gf2.unit_solutions(traces.rows, traces.cols)
             if any(traces.mul_vec(rho) != 1 << c for c, rho in enumerate(rhos)):
                 raise MergeError(f"merge {j}: fused traces are linearly dependent")
-            entries = []
-            for row, rho in zip(rows, rhos):
-                pairs = [pr.pairs[pi] for pi in gf2.support(rho)]
-                left = gf2.vector_from_support(vl for vl, _ in pairs)
-                right = gf2.vector_from_support(vr for _, vr in pairs)
-                entries.append((row, rho, left, right))
-            self.merges.append(tuple(entries))
+            self.merges.append(tuple(
+                (row, rho, gf2.vector_from_support(facet[p] for p in gf2.support(rho)))
+                for row, rho in zip(rows, rhos)
+            ))
 
 
 def get_split_context(t: TetrahelixCode) -> SplitContext:
@@ -273,14 +232,14 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
     for j, cells in enumerate(ctx.merges):
         diff = outs[j] ^ t.block_slice(zhat, j)
         sigma = 0
-        for row, rho, left, right in cells:
+        for row, rho, pattern in cells:
             if (diff & row).bit_count() & 1:
                 sigma ^= rho
-                outs[j] ^= left
-                outs[j + 1] ^= right
+                outs[j] ^= pattern
+                outs[j + 1] ^= pattern
         frames.append(sigma)
 
-    syndromes = tuple(ctx.cells[b].syndrome(outs[b]) for b in range(k))
+    syndromes = tuple(ctx.cells.syndrome(out) for out in outs)
     return SplitResult(tuple(outs), syndromes, tuple(frames))
 
 
@@ -292,7 +251,7 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
 def chain_to_dict(t: TetrahelixCode) -> dict:
     """A chain as a file holds it: k and the block colex, the rest of the
     chain being derived from these by `build_tetrahelix`."""
-    return {"k": t.k, "block_colex": colex_to_dict(t.blocks[0].colex)}
+    return {"k": t.k, "block_colex": colex_to_dict(t.block.colex)}
 
 
 def chain_from_dict(d) -> TetrahelixCode:

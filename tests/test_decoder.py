@@ -199,7 +199,7 @@ def test_merge_two_flips_can_err(fc3):
 
 def test_merge_residual_drives_word(monkeypatch, chain2):
     # a residual X error on a paired qubit flips the corresponding pair bit
-    vl, _ = chain2.pairings[0].pairs[2]
+    vl = chain2.merge_facet(0)[2]
     sim = ChainSim(chain2)  # its own, so that no memoised prep decode bypasses the patch
     fault = 4 * sim.layout.locations.index((PREP_DATA, 0, vl))  # label X
     # an idle preparation decoder leaves the fault as the residual
@@ -290,9 +290,8 @@ def test_inter_block_strings_corrected(sim2, chain2):
     # error strings of weight < 2 per block jumping across the merge
     rng = random.Random(17)
     kb = gf2.kernel_basis(chain2.code.hx.rows, 30)
-    pairs = chain2.pairings[0].pairs
-    for vl, vr in pairs:
-        e = (1 << vl) | (1 << chain2.qubit(1, vr))
+    for v in chain2.merge_facet(0):
+        e = (1 << v) | (1 << chain2.block_offset(1) + v)
         # weight 1 per block: the chain hypothesis must keep the reference bit
         for _ in range(5):
             o = 0

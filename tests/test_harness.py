@@ -394,7 +394,7 @@ def test_simulator_and_decoders_built_once(monkeypatch):
     sim = ChainSim.build(1, 3)
     assert ChainSim.build(1, 3) is sim
     # the k=1 chain's split decoder is its block's cell decoder
-    assert surgery.get_split_context(sim.t).chain is sim.block_decoders[0].cells
+    assert surgery.get_split_context(sim.t).chain is sim.block_decoder.cells
     harness.logical_error_rate(3, 2, NoiseModel(0.02), 5, seed=0)
     built = []
     init = gf2.SyndromeDecoder.__init__
@@ -479,7 +479,8 @@ def _split_then_decode(sim, outcomes):
     block's cell syndrome and add the X-bar parities."""
     res = surgery.split_frame(sim.t, outcomes)
     out = (outcomes & sim.t.code.logical_x).bit_count()
-    for dec, syndrome in zip(sim.block_decoders, res.block_syndromes):
+    dec = sim.block_decoder
+    for syndrome in res.block_syndromes:
         out += (dec.decode_cells(syndrome) & dec.lx).bit_count()
     return out & 1
 
@@ -519,15 +520,14 @@ def test_prep_memo_entries_are_the_effects_of_their_decodes(k, L):
         (b,) = [b for b, (shift, mask) in enumerate(lay.prep_syndrome) if key >> shift & mask]
         shift, mask = lay.prep_syndrome[b]
         assert key == (key >> shift & mask) << shift
-        dec = sim.block_decoders[b]
+        dec = sim.block_decoder
         xhat, _ = dec.decode_prep(key >> shift)
         want = xhat << t.block_offset(b) << lay.layer_x[0]
         want ^= ((xhat & dec.lz).bit_count() & 1) << lay.prep_logical[0] + b
-        for j, side in ((b - 1, 1), (b, 0)):  # b is merge b - 1's right side, merge b's left
+        for j in (b - 1, b):  # b is merge b - 1's right side, merge b's left
             if 0 <= j < k - 1:
-                pairs = t.pairings[j].pairs
                 word = gf2.vector_from_support(
-                    p for p, pair in enumerate(pairs) if xhat >> pair[side] & 1
+                    p for p, v in enumerate(t.merge_facet(j)) if xhat >> v & 1
                 )
                 want ^= word << lay.pair_x[j][0]
         assert fix == want

@@ -25,7 +25,7 @@ def _propagate_oracle(faults, t):
             if label in ("X", "Y"):
                 prep_data_x[b] = prep_data_x.get(b, 0) ^ (1 << q)
             if label in ("Z", "Y"):
-                outcome_flips ^= 1 << t.qubit(b, q)
+                outcome_flips ^= 1 << t.block_offset(b) + q
         elif kind == noise.PREP_MEAS:
             _, b, f = loc
             if label == "flip":
@@ -52,21 +52,21 @@ def _propagate_oracle(faults, t):
 def _pack(oracle, t, layout):
     """The oracle's result as one effect word in the layout's fields. The X
     pattern x_b entering block b is mapped here: H_z x_b joins the face
-    flips, its Z-bar parity sets bit b of prep_logical, each pair (vl, vr)
-    of merge j reads x_j[vl] ^ x_{j+1}[vr], and x_b joins the layer pattern
+    flips, its Z-bar parity sets bit b of prep_logical, each pair (v, v)
+    of merge j reads x_j[v] ^ x_{j+1}[v], and x_b joins the layer pattern
     in chain coordinates."""
     prep_data_x, prep_meas, pair_flips, layer_x, outcome_flips = oracle
     syndromes, logical = dict(prep_meas), 0
     for b, x in prep_data_x.items():
-        code = t.blocks[b].code
+        code = t.block.code
         syndromes[b] = syndromes.get(b, 0) ^ code.z_syndrome(x)
         logical ^= ((x & code.logical_z).bit_count() & 1) << b
         layer_x ^= x << t.block_offset(b)
     pair_x = {}
-    for j, pr in enumerate(t.pairings):
+    for j in range(t.k - 1):
         left, right = prep_data_x.get(j, 0), prep_data_x.get(j + 1, 0)
-        for p, (vl, vr) in enumerate(pr.pairs):
-            pair_x[j] = pair_x.get(j, 0) ^ ((left >> vl ^ right >> vr) & 1) << p
+        for p, v in enumerate(t.merge_facet(j)):
+            pair_x[j] = pair_x.get(j, 0) ^ ((left ^ right) >> v & 1) << p
     word = layer_x << layout.layer_x[0] ^ outcome_flips << layout.outcome_flips[0]
     word ^= logical << layout.prep_logical[0]
     for fields, parts in (
@@ -239,7 +239,7 @@ def test_propagate_z_is_outcome_flip(chain2, layout):
     assert _field(res, layout.outcome_flips) == 1 << 7
     assert _field(res, layout.layer_x) == 0
     res = propagate([_code(layout, (noise.PREP_DATA, 1, 3), "Z")], layout)
-    assert _field(res, layout.outcome_flips) == 1 << chain2.qubit(1, 3)
+    assert _field(res, layout.outcome_flips) == 1 << chain2.block_offset(1) + 3
 
 
 def test_propagate_x_after_layer_no_effect(layout):

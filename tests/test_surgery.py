@@ -29,8 +29,8 @@ def chain3(block3):
 def test_merge_l3_structure(chain2):
     assert chain2.code.n == 30
     assert cc.logical_count(chain2.code) == 1
-    assert len(chain2.pairings) == 1
-    assert len(chain2.pairings[0].pairs) == 7
+    assert len(chain2.merge_facet(0)) == 7
+    assert [l for l in chain2.code.hz.labels if l[0] == "pair"] == [("pair", 0, p) for p in range(7)]
     sizes = sorted(len(c) for c in chain2.fused_cells)
     assert sizes == [1, 1, 2, 2, 2]  # C1*, C2*, and 3 fused classes
     assert chain2.code.check_commutation()
@@ -86,8 +86,8 @@ def test_chain4_summit_fusion():
 
 
 def test_ldpc_row_weights(chain3):
-    max_cell = max(len(c.vertices) for c in chain3.blocks[0].colex.cells)
-    max_face = max(len(f.vertices) for f in chain3.blocks[0].colex.faces)
+    max_cell = max(len(c.vertices) for c in chain3.block.colex.cells)
+    max_face = max(len(f.vertices) for f in chain3.block.colex.faces)
     for r, l in zip(chain3.code.hx.rows, chain3.code.hx.labels):
         assert r.bit_count() <= 4 * max_cell
     for r in chain3.code.hz.rows:
@@ -96,7 +96,7 @@ def test_ldpc_row_weights(chain3):
 
 def test_restriction_property(chain3):
     # chain X row restricted to one block is in that block's X rowspace
-    block_rows = chain3.blocks[0].code.hx.rows
+    block_rows = chain3.block.code.hx.rows
     for row in chain3.code.hx.rows:
         for b in range(chain3.k):
             part = chain3.block_slice(row, b)
@@ -104,9 +104,9 @@ def test_restriction_property(chain3):
 
 
 def test_chain_logicals(chain2):
-    xbar, zbar, blx = chain2.chain_logicals()
+    xbar, zbar = chain2.code.logical_x, chain2.code.logical_z
     assert xbar.bit_count() == 14
-    assert zbar == chain2.code.logical_z
+    assert xbar == chain2.block_logical_x(0) ^ chain2.block_logical_x(1)
     for row in chain2.code.hz.rows:
         assert gf2.dot(xbar, row) == 0
     assert gf2.dot(xbar, zbar) == 1
@@ -132,14 +132,14 @@ def _random_codeword_outcome(t, rng):
 def test_split_noiseless(k, L):
     t = sg.build_tetrahelix(k, L)
     rng = random.Random(2024)
-    xbar, _, blx = t.chain_logicals()
+    xbar = t.code.logical_x
     for _ in range(25):
         o = _random_codeword_outcome(t, rng)
         res = sg.split_frame(t, o)
         assert not any(res.block_syndromes)
         per = 0
         for b in range(k):
-            per ^= (res.block_outcomes[b] & t.block_slice(blx[b], b)).bit_count() & 1
+            per ^= (res.block_outcomes[b] & t.block_slice(t.block_logical_x(b), b)).bit_count() & 1
         assert per == (o & xbar).bit_count() & 1
 
 
@@ -150,7 +150,7 @@ def test_split_idempotent(chain3):
         o ^= rng.getrandbits(chain3.code.n)  # arbitrary noise on top
         res = sg.split_frame(chain3, o)
         assert res.block_syndromes == tuple(
-            b.code.hx.mul_vec(ob) for b, ob in zip(chain3.blocks, res.block_outcomes)
+            chain3.block.code.hx.mul_vec(ob) for ob in res.block_outcomes
         )
         o2 = 0
         for b in range(chain3.k):
@@ -175,7 +175,7 @@ def test_split_single_flip_incidence(chain2):
 
 def test_split_frame_commutes_with_logical(chain2):
     # frame rows never change the chain logical parity
-    xbar, _, _ = chain2.chain_logicals()
+    xbar = chain2.code.logical_x
     rng = random.Random(9)
     for _ in range(20):
         o = _random_codeword_outcome(chain2, rng) ^ rng.getrandbits(30)
@@ -302,5 +302,5 @@ def test_split_leaves_each_block_its_part_of_the_hypothesis(k, L):
         zhat, _ = ctx.chain.decode(ctx.chain.syndrome(o))
         res = sg.split_frame(t, o)
         assert res.block_syndromes == tuple(
-            ctx.cells[b].syndrome(t.block_slice(zhat, b)) for b in range(k)
+            ctx.cells.syndrome(t.block_slice(zhat, b)) for b in range(k)
         )
