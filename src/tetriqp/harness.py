@@ -6,7 +6,7 @@ trials from the Philox counter stream (seed, b, 0) and their twirl coins
 from (seed, b, 1) (see `rng`); trial t is trial t % BATCH of batch
 t // BATCH. The seed is an int or a spawn tuple: (seed, qubit) for the
 chains of `end_to_end`, (seed, k, L, epsilon index) for the points of
-`threshold_scan`. Workers get whole batches, and a run that ends inside a
+`threshold_scan`, (seed, 2, L) for the rows of `prep_scan`. Workers get whole batches, and a run that ends inside a
 batch draws that batch whole and keeps its first trials. So results are
 bit-identical for a fixed seed whatever the worker count, trial t is the
 same in every run that reaches it, and distinct runs, qubits and grid
@@ -718,8 +718,10 @@ class PrepScanRow:
 
 def prep_scan(L: int, model: NoiseModel, trials: int, seed: int, workers: int = 1) -> PrepScanRow:
     """Estimate the noncorrectable preparation and merge rates empirically,
-    from the two preparations and the merge of k=2 chain trials."""
-    est = logical_error_rate(L, 2, model, trials, seed, workers=workers)
+    from the two preparations and the merge of k=2 chain trials, drawn under
+    the spawn key (seed, 2, L) so that the rows of a scan over L share no
+    stream."""
+    est = logical_error_rate(L, 2, model, trials, (seed, 2, L), workers=workers)
     tetra_nc, merge_nc = est.prep_noncorrectable, est.merge_noncorrectable
     t_lo, t_hi = wilson_interval(tetra_nc, 2 * trials)
     m_lo, m_hi = wilson_interval(merge_nc, trials)

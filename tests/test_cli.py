@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tetriqp import harness
 from tetriqp.cli import run
 from tetriqp.harness import ExperimentConfig
 
@@ -184,6 +185,22 @@ def test_mc_prep(tmp_path):
     assert run(["mc", "prep", "--config", str(cfg), "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data[0]["L"] == 3
+
+
+def test_mc_prep_rows_draw_from_their_own_streams(tmp_path, monkeypatch):
+    # each L row runs its k=2 batches under the spawn key (seed, 2, L)
+    seeds = []
+    run_batch = harness.ChainSim.run_batch
+
+    def recording_run_batch(self, model, seed, b, *args):
+        seeds.append((self.t.block.colex.L, seed, b))
+        return run_batch(self, model, seed, b, *args)
+
+    monkeypatch.setattr(harness.ChainSim, "run_batch", recording_run_batch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"Ls": [3, 5], "epsilon": 0.02, "trials": 300, "seed": 7}))
+    assert run(["mc", "prep", "--config", str(cfg), "--out", str(tmp_path / "prep.json")]) == 0
+    assert seeds == [(L, (7, 2, L), b) for L in (3, 5) for b in (0, 1)]
 
 
 @pytest.mark.parametrize("what", ["pipeline", "prep"])
