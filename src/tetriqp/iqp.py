@@ -23,6 +23,7 @@ from .rng import make_rng
 
 EXACT_DISTRIBUTION_CAP = 24  # qubits for a full statevector
 PROB_ZERO_CAP = 30  # qubits for the exponential-sum evaluation
+CS_CHUNK = 1 << 16  # Philox words that _sample_cs holds at a time
 PHASE_TABLE = np.array([cmath.exp(1j * math.pi * m / 8) for m in range(16)])
 
 
@@ -93,33 +94,51 @@ def _sample_cs(rng, n: int, p: float) -> tuple[tuple[int, int, int], ...]:
     reads one 32-bit half: the generator's held half if it has one, else
     the low half of the next word, holding its high half. Lemire's method
     with range 4 never rejects, so the exponent is that half >> 30. The
-    words are drawn at once, as many as the worst case needs, and only the
-    gates are walked in Python.
+    words are drawn CS_CHUNK at a time, and only the gates are walked in
+    Python; the held half, the pair cursor and a gate whose half is the
+    next chunk's first word carry from one chunk to the next.
     """
     pairs = n * (n - 1) // 2
-    if not pairs:
-        return ()
     state = rng.bit_generator.state
     held = state["uinteger"] if state["has_uint32"] else None
-    words = rng.bit_generator.random_raw(pairs + (pairs + 1) // 2)
-    doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    candidates = np.flatnonzero(doubles < p)  # words that would read as a gate
-    rows, cols = np.triu_indices(n, 1)
     cs = []
-    pos = pair = 0  # the word of pair `pair`
-    for at in candidates.tolist():
-        if at < pos:  # the word a gate's exponent took
-            continue
-        pair += at - pos
-        if pair >= pairs:
-            break
-        if held is None:
-            word = int(words[at + 1])
-            half, held, pos = word & 0xFFFFFFFF, word >> 32, at + 2
-        else:
-            half, held, pos = held, None, at + 1
-        cs.append((int(rows[pair]), int(cols[pair]), half >> 30))
-        pair += 1
+    i, row_end = 0, n - 1  # the row of the last gate, and the first pair past it
+
+    def add(pair, half):
+        nonlocal i, row_end
+        while pair >= row_end:
+            i += 1
+            row_end += n - 1 - i
+        cs.append((i, pair - row_end + n, half >> 30))
+
+    pair = 0  # the pair that reads the next word
+    gate = None  # a gate whose half is the next chunk's first word
+    while pair < pairs or gate is not None:
+        left = pairs - pair  # at most 1 + left + ceil(left / 2) words to go
+        words = rng.bit_generator.random_raw(min(CS_CHUNK, 1 + left + (left + 1) // 2))
+        pos = 0  # the next unread word
+        if gate is not None:
+            word = int(words[0])
+            add(gate, word & 0xFFFFFFFF)
+            held, gate, pos = word >> 32, None, 1
+        doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        for at in np.flatnonzero(doubles < p).tolist():
+            if at < pos:  # the word a gate's half took
+                continue
+            pair += at - pos
+            if pair >= pairs:
+                return tuple(cs)
+            if held is not None:
+                add(pair, held)
+                held, pos = None, at + 1
+            elif at + 1 < len(words):
+                word = int(words[at + 1])
+                add(pair, word & 0xFFFFFFFF)
+                held, pos = word >> 32, at + 2
+            else:
+                gate, pos = pair, at + 1
+            pair += 1
+        pair += len(words) - pos
     return tuple(cs)
 
 

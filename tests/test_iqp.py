@@ -81,17 +81,21 @@ def _sample_circuit_reference(n, gamma, seed):
     return iqp.IqpCircuit(n, t, tuple(cs), gamma=gamma, seed=seed)
 
 
-def test_sample_circuit_equals_the_scalar_draws():
+def test_sample_circuit_equals_the_scalar_draws(monkeypatch):
     # n = 1 has no pair, gamma = 8 gives p = 1 at n = 2 and 4, and odd and
-    # even n leave the generator with and without a held 32-bit half
+    # even n leave the generator with and without a held 32-bit half; small
+    # chunks end between a gate's pair word and its half
     cases = [
         (n, gamma, seed)
         for n in (1, 2, 3, 4, 5, 8, 13, 33)
         for gamma in (0.0, 0.7, 1.0, 8.0)
         for seed in range(4)
     ]
-    for n, gamma, seed in cases + [(200, 1.0, 0), (200, 1.0, 1)]:
-        assert iqp.sample_circuit(n, gamma, seed) == _sample_circuit_reference(n, gamma, seed)
+    cases += [(200, 1.0, 0), (200, 1.0, 1)]
+    want = [_sample_circuit_reference(n, gamma, seed) for n, gamma, seed in cases]
+    for chunk in (iqp.CS_CHUNK, 1, 2, 3, 64):
+        monkeypatch.setattr(iqp, "CS_CHUNK", chunk)
+        assert [iqp.sample_circuit(*case) for case in cases] == want, chunk
 
 
 def test_sampler_gamma_zero():
