@@ -498,14 +498,28 @@ def circuit_to_dict(c: IqpCircuit) -> dict:
     }
 
 
+def _file_int(x, field: str) -> int:
+    """An int field of a circuit file, as is: a bool, float or str is refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{field} must be an int, got {x!r}")
+    return x
+
+
 def circuit_from_dict(d: dict) -> IqpCircuit:
+    """The circuit of `circuit_to_dict`'s keys. n, every T exponent and the
+    i, j and k of every CS gate must be ints and the seed an int or null;
+    anything else raises ValueError naming the field."""
     try:
+        n = _file_int(d["n"], "n")
+        t = tuple(_file_int(x, f"t[{q}]") for q, x in enumerate(d["t"]))
+        cs = tuple(
+            tuple(_file_int(g[f], f"cs[{c}].{f}") for f in "ijk") for c, g in enumerate(d["cs"])
+        )
+        seed = d.get("seed")
         return IqpCircuit(
-            int(d["n"]),
-            tuple(int(x) for x in d["t"]),
-            tuple((int(g["i"]), int(g["j"]), int(g["k"])) for g in d["cs"]),
+            n, t, cs,
             gamma=float(d.get("gamma", 0.0)),
-            seed=d.get("seed"),
+            seed=None if seed is None else _file_int(seed, "seed"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"circuit file: {e}") from e

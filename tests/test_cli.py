@@ -147,6 +147,25 @@ def test_iqp_pipeline(tmp_path, capsys):
     assert d["wires"] == d["n"] * d["k"]
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"n": 2.9}, "n"),
+    ({"n": "2"}, "n"),
+    ({"t": [1, 2.5]}, "t[1]"),
+    ({"cs": [{"i": 0, "j": 1.7, "k": 1}]}, "cs[0].j"),
+    ({"cs": [{"i": 0, "j": 1, "k": True}]}, "cs[0].k"),
+    ({"seed": "3"}, "seed"),
+])
+def test_circuit_file_refuses_non_int_fields(tmp_path, capsys, edit, field):
+    # a value that int() would truncate or convert is refused, not simulated
+    circ = tmp_path / "c.json"
+    good = {"n": 2, "gamma": 1.0, "t": [1, 2], "cs": [{"i": 0, "j": 1, "k": 1}], "seed": 3}
+    circ.write_text(json.dumps({**good, **edit}))
+    assert run(["iqp", "simulate", "--in", str(circ), "--out", str(tmp_path / "d.csv")]) == 2
+    assert f"{field} must be an int" in capsys.readouterr().err
+    circ.write_text(json.dumps({**good, "seed": None}))
+    assert run(["iqp", "simulate", "--in", str(circ), "--out", str(tmp_path / "d.csv")]) == 0
+
+
 def test_mc_pipeline(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 3, "k": 1, "epsilon": 0.02, "trials": 200, "seed": 9}))
@@ -263,8 +282,6 @@ def test_mc_workers_flag_below_one_rejected(tmp_path, capsys, flag):
 
 
 def test_mc_workers_flag_overrides_config(tmp_path, monkeypatch):
-    from tetriqp import harness
-
     seen = []
 
     def fake(L, k, model, trials, seed, workers, **kw):
