@@ -95,50 +95,36 @@ def _sample_cs(rng, n: int, p: float) -> tuple[tuple[int, int, int], ...]:
     the low half of the next word, holding its high half. Lemire's method
     with range 4 never rejects, so the exponent is that half >> 30. The
     words are drawn CS_CHUNK at a time, and only the gates are walked in
-    Python; the held half, the pair cursor and a gate whose half is the
-    next chunk's first word carry from one chunk to the next.
+    Python; the held half and the pair cursor carry from chunk to chunk.
     """
     pairs = n * (n - 1) // 2
     state = rng.bit_generator.state
     held = state["uinteger"] if state["has_uint32"] else None
     cs = []
     i, row_end = 0, n - 1  # the row of the last gate, and the first pair past it
-
-    def add(pair, half):
-        nonlocal i, row_end
-        while pair >= row_end:
-            i += 1
-            row_end += n - 1 - i
-        cs.append((i, pair - row_end + n, half >> 30))
-
     pair = 0  # the pair that reads the next word
-    gate = None  # a gate whose half is the next chunk's first word
-    while pair < pairs or gate is not None:
-        left = pairs - pair  # at most 1 + left + ceil(left / 2) words to go
-        words = rng.bit_generator.random_raw(min(CS_CHUNK, 1 + left + (left + 1) // 2))
-        pos = 0  # the next unread word
-        if gate is not None:
-            word = int(words[0])
-            add(gate, word & 0xFFFFFFFF)
-            held, gate, pos = word >> 32, None, 1
+    while pair < pairs:
+        left = pairs - pair
+        words = rng.bit_generator.random_raw(min(CS_CHUNK, left + (left + 1) // 2))
         doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        pos = 0  # the next unread word
         for at in np.flatnonzero(doubles < p).tolist():
             if at < pos:  # the word a gate's half took
                 continue
             pair += at - pos
             if pair >= pairs:
-                return tuple(cs)
-            if held is not None:
-                add(pair, held)
-                held, pos = None, at + 1
-            elif at + 1 < len(words):
-                word = int(words[at + 1])
-                add(pair, word & 0xFFFFFFFF)
-                held, pos = word >> 32, at + 2
+                break
+            if held is None:  # past the chunk's end, the next word is drawn alone
+                word = int(words[at + 1] if at + 1 < len(words) else rng.bit_generator.random_raw())
+                half, held, pos = word & 0xFFFFFFFF, word >> 32, at + 2
             else:
-                gate, pos = pair, at + 1
+                half, held, pos = held, None, at + 1
+            while pair >= row_end:
+                i += 1
+                row_end += n - 1 - i
+            cs.append((i, pair - row_end + n, half >> 30))
             pair += 1
-        pair += len(words) - pos
+        pair += max(len(words) - pos, 0)
     return tuple(cs)
 
 

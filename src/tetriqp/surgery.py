@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gf2
-from .colex import Colex, ColexParseError, colex_from_dict, colex_to_dict
+from .colex import Colex, ColexParseError, build_tetrahedral_colex, colex_from_dict, colex_to_dict
 from .csscode import CssCode, from_colex
 
 
@@ -105,32 +105,21 @@ def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCo
     if k < 1:
         raise MergeError(f"k must be >= 1, got {k}")
     if block is None:
-        from .colex import build_tetrahedral_colex
-
         block = Block.build(build_tetrahedral_colex(L))
     fused_by = [set(_identity_pairing(block.colex, c)) for c in range(min(k - 1, 4))]
     m = block.code.n
     n = k * m
 
-    # cell ci of blocks b..e is one class when every merge b..e-1 fuses it
+    # cell ci of blocks b..e-1 is one class when every merge between them
+    # fuses it: the classes of ci end at each merge that does not
     fused = []
     for ci in range(len(block.colex.cells)):
-        b = 0
-        while b < k:
-            e = b
-            while e < k - 1 and ci in fused_by[e % 4]:
-                e += 1
-            fused.append(tuple((x, ci) for x in range(b, e + 1)))
-            b = e + 1
+        cuts = [j + 1 for j in range(k - 1) if ci not in fused_by[j % 4]]
+        for b, e in zip([0, *cuts], [*cuts, k]):
+            fused.append(tuple((x, ci) for x in range(b, e)))
     fused.sort()
-
-    hx_rows, hx_labels = [], []
-    for cls in fused:
-        row = 0
-        for b, ci in cls:
-            row ^= block.code.hx.rows[ci] << b * m
-        hx_rows.append(row)
-        hx_labels.append(("cells", cls))
+    # blocks are disjoint, so a sum of shifted rows is their XOR
+    hx_rows = [sum(block.code.hx.rows[ci] << b * m for b, ci in cls) for cls in fused]
 
     hz_rows, hz_labels = [], []
     for b in range(k):
@@ -142,14 +131,11 @@ def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCo
             hz_rows.append((1 << v | 1 << v + m) << j * m)
             hz_labels.append(("pair", j, pi))
 
-    lx = 0
-    for b in range(k):
-        lx ^= block.code.logical_x << b * m
     code = CssCode(
         n,
-        gf2.BitMatrix.make(hx_rows, n, hx_labels),
+        gf2.BitMatrix.make(hx_rows, n, [("cells", cls) for cls in fused]),
         gf2.BitMatrix.make(hz_rows, n, hz_labels),
-        lx,
+        sum(block.code.logical_x << b * m for b in range(k)),
         block.code.logical_z,
     )
     return TetrahelixCode(k, block, tuple(fused), code)
