@@ -6,13 +6,14 @@ trials from the Philox counter stream (seed, b, 0) and their twirl coins
 from (seed, b, 1) (see `rng`); trial t is trial t % BATCH of batch
 t // BATCH. The seed is an int or a spawn tuple: (seed, qubit) for the
 chains of `end_to_end`, (seed, k, L, epsilon index) for the points of
-`threshold_scan`, (seed, 2, L) for the rows of `prep_scan`. Workers get whole batches, and a run that ends inside a
-batch draws that batch whole and keeps its first trials. So results are
-bit-identical for a fixed seed whatever the worker count, trial t is the
-same in every run that reaches it, and distinct runs, qubits and grid
-points never share a stream. Only trials with a fault reach
-`ChainSim.run_trial`, as the codes of their faults; their propagation is the
-XOR of the effects that `noise.stage_layout` precomputes per chain. The
+`threshold_scan` and (seed, 2, L) for the rows of `prep_scan`. Workers get
+whole batches, and a run that ends inside a batch draws that batch whole
+and keeps its first trials. So results are bit-identical for a fixed seed
+whatever the worker count, trial t is the same in every run that reaches
+it, and distinct runs, qubits, grid points and rows never share a stream.
+Only trials with a fault reach `ChainSim.run_trial`, as the codes of their
+faults; their propagation is the XOR of the effects that
+`noise.stage_layout` precomputes per chain. The
 twirl of the X pattern crossing the diagonal layer is drawn by `run_trial`,
 one coin per qubit, and nowhere else.
 

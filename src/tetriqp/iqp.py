@@ -114,7 +114,7 @@ def _sample_cs(rng, n: int, p: float) -> tuple[tuple[int, int, int], ...]:
             pair += at - pos
             if pair >= pairs:
                 break
-            if held is None:  # past the chunk's end, the next word is drawn alone
+            if held is None:  # the next word; past the chunk's end it is drawn alone
                 word = int(words[at + 1] if at + 1 < len(words) else rng.bit_generator.random_raw())
                 half, held, pos = word & 0xFFFFFFFF, word >> 32, at + 2
             else:

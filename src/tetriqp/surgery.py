@@ -173,8 +173,7 @@ class SplitContext:
         self.merges = []
         for j in range(t.k - 1):
             facet = t.merge_facet(j)
-            on_facet = gf2.vector_from_support(facet)
-            rows = [row for row in code.hx.rows if row & on_facet]
+            rows = [code.hx.rows[ci] for ci in _identity_pairing(t.block.colex, j % 4)]
             traces = gf2.BitMatrix.make(
                 [
                     gf2.vector_from_support(p for p, v in enumerate(facet) if row >> v & 1)

@@ -30,7 +30,8 @@ def test_merge_l3_structure(chain2):
     assert chain2.code.n == 30
     assert cc.logical_count(chain2.code) == 1
     assert len(chain2.merge_facet(0)) == 7
-    assert [l for l in chain2.code.hz.labels if l[0] == "pair"] == [("pair", 0, p) for p in range(7)]
+    pairs = [label for label in chain2.code.hz.labels if label[0] == "pair"]
+    assert pairs == [("pair", 0, p) for p in range(7)]
     sizes = sorted(len(c) for c in chain2.fused_cells)
     assert sizes == [1, 1, 2, 2, 2]  # C1*, C2*, and 3 fused classes
     assert chain2.code.check_commutation()
