@@ -46,6 +46,16 @@ class ColexParseError(ValueError):
     """Malformed colex/code file; message carries field context."""
 
 
+def file_number(x, field: str, kind: type = int):
+    """A number field of a colex, chain or circuit file, as is: an int, or
+    for kind=float an int or a float. A bool, a str or anything else raises
+    ColexParseError naming the field, so nothing is truncated or converted."""
+    if isinstance(x, bool) or not isinstance(x, (int, kind)):
+        what = "an int" if kind is int else "a number"
+        raise ColexParseError(f"{field} must be {what}, not {type(x).__name__!r}: {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Cell:
     vertices: tuple[int, ...]
@@ -361,8 +371,8 @@ class FacetCode:
 
     Local qubit i is 3D qubit `qubits[i]`. `faces` double as the X and Z
     checks; `face_cells` maps each 2D face to the colex cell whose trace it
-    is, which is what the merge-correction lift uses. `logical` is the trace
-    of the 3D X logical representative, so it is a logical of both codes.
+    is and labels the rows of `check_matrix`. `logical` is the trace of the
+    3D X logical representative, so it is a logical of both codes.
     """
 
     facet_color: int
@@ -438,13 +448,25 @@ def colex_to_dict(c: Colex) -> dict:
 
 
 def colex_from_dict(d: dict) -> Colex:
+    """The colex of `colex_to_dict`'s keys. L, every vertex id and every
+    color must be ints; anything else raises ColexParseError naming the
+    field."""
+
     def need(obj, key, ctx):
         if key not in obj:
             raise ColexParseError(f"{ctx}: missing field {key!r}")
         return obj[key]
 
-    L = need(d, "L", "colex")
-    verts = need(d, "vertices", "colex")
+    def num(obj, key, ctx):
+        return file_number(need(obj, key, ctx), f"{ctx}.{key}")
+
+    def nums(obj, key, ctx):
+        return tuple(
+            file_number(v, f"{ctx}.{key}[{j}]") for j, v in enumerate(need(obj, key, ctx))
+        )
+
+    L = num(d, "L", "colex")
+    verts = nums(d, "vertices", "colex")
     if len(set(verts)) != len(verts):
         raise ColexParseError("colex.vertices: duplicate vertex id")
     if sorted(verts) != list(range(len(verts))):
@@ -452,28 +474,26 @@ def colex_from_dict(d: dict) -> Colex:
     vset = set(verts)
 
     def vtuple(obj, ctx):
-        vs = need(obj, "vertices", ctx)
+        vs = nums(obj, "vertices", ctx)
         if not set(vs) <= vset:
-            raise ColexParseError(f"{ctx}: unknown vertex in {vs}")
+            raise ColexParseError(f"{ctx}: unknown vertex in {list(vs)}")
         if len(set(vs)) != len(vs):
-            raise ColexParseError(f"{ctx}: repeated vertex in {vs}")
-        return tuple(vs)
+            raise ColexParseError(f"{ctx}: repeated vertex in {list(vs)}")
+        return vs
 
     cells = tuple(
-        Cell(vtuple(x, f"cells[{i}]"), int(need(x, "color", f"cells[{i}]")))
+        Cell(vtuple(x, f"cells[{i}]"), num(x, "color", f"cells[{i}]"))
         for i, x in enumerate(need(d, "cells", "colex"))
     )
     faces = tuple(
-        Face(vtuple(x, f"faces[{i}]"), tuple(map(int, need(x, "colors", f"faces[{i}]"))))
+        Face(vtuple(x, f"faces[{i}]"), nums(x, "colors", f"faces[{i}]"))
         for i, x in enumerate(need(d, "faces", "colex"))
     )
     facets = tuple(
-        BoundaryFacet(
-            vtuple(x, f"facets[{i}]"), int(need(x, "missing_color", f"facets[{i}]"))
-        )
+        BoundaryFacet(vtuple(x, f"facets[{i}]"), num(x, "missing_color", f"facets[{i}]"))
         for i, x in enumerate(need(d, "facets", "colex"))
     )
     if sorted(f.missing_color for f in facets) != [0, 1, 2, 3]:
         raise ColexParseError("facets: need exactly one facet per missing color 0..3")
-    return Colex(int(L), len(verts), cells, faces, facets)
+    return Colex(L, len(verts), cells, faces, facets)
 

@@ -50,7 +50,6 @@ class BlockDecoder:
         code = block.code
         self.faces = gf2.SyndromeDecoder.of(code.hz.rows, code.n, meas_cols=True)
         self.cells = gf2.SyndromeDecoder.of(code.hx.rows, code.n)
-        self.lz = code.logical_z
         self.lx = code.logical_x
 
     def decode_prep(self, syndrome: int) -> tuple[int, int]:

@@ -269,11 +269,6 @@ def _comb(n, k):
     return out
 
 
-def random_rows(rng, nrows, ncols):
-    """Uniform random bit rows (test helper)."""
-    return [rng.getrandbits(ncols) for _ in range(nrows)]
-
-
 def syndrome_table(sigs: list[int]) -> dict[int, int]:
     """Map syndrome -> minimum-weight error (lowest int among minima).
 

@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gf2, surgery
-from .colex import build_tetrahedral_colex, facet_code
+from .colex import facet_code
 from .decoder import BlockDecoder, FacetDecoder
 from .iqp import (
     EXACT_DISTRIBUTION_CAP,
@@ -66,7 +66,6 @@ from .surgery import TetrahelixCode, build_tetrahelix
 MAX_L = 7  # largest block distance a config or logical_error_rate accepts
 MAX_K = 8  # longest chain: k and ks of a config, the e2e depth cap max_k
 MEMO_MAX = 1 << 12  # entries per decode memo of a ChainSim; emptied when full
-BUILT_MAX_L = 9  # largest L whose block size `overhead` builds rather than fits
 
 
 def _is_a(value, kind) -> bool:
@@ -197,7 +196,6 @@ class ChainSim:
         self.facet_decoders = [
             FacetDecoder(facet_code(t.block.colex, c)) for c in range(min(t.k - 1, 4))
         ]
-        self.kernel = gf2.kernel_basis(t.code.hx.rows, t.code.n)
         self._streams = TrialStreams()
         lay = self.layout
         self._prep_fields = tuple(mask << shift for shift, mask in lay.prep_syndrome)
@@ -226,9 +224,10 @@ class ChainSim:
         """A uniformly random noiseless outcome vector, an element of ker(Hx).
         Trials need none (see the module docstring); tests use it as the
         reference that the linearity of the decode is checked against."""
-        bits = rng.integers(0, 2, len(self.kernel))
+        kernel = gf2.kernel_basis(self.t.code.hx.rows, self.t.code.n)
+        bits = rng.integers(0, 2, len(kernel))
         o = 0
-        for take, v in zip(bits, self.kernel):
+        for take, v in zip(bits, kernel):
             if take:
                 o ^= v
         return o
@@ -652,16 +651,6 @@ class OverheadPlan:
     extrapolated: bool
 
 
-@functools.cache
-def _block_size_fit() -> tuple[float, float]:
-    """Least-squares a*L^3 + b fit of built colex sizes."""
-    Ls = np.array([3.0, 5.0, 7.0])
-    ns = np.array([float(build_tetrahedral_colex(int(l)).n) for l in Ls])
-    A = np.stack([Ls**3, np.ones_like(Ls)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ns, rcond=None)
-    return float(coef[0]), float(coef[1])
-
-
 def overhead(
     n_logical: int,
     delta: float,
@@ -672,8 +661,9 @@ def overhead(
     c_r: float = 1.0,
 ) -> OverheadPlan:
     """Parameter plan: k = ceil(c_k log2 N), L from the precision relation,
-    with k = O(L) enforced; block size built exactly for an odd L from 3 to
-    BUILT_MAX_L, else extrapolated from a fit."""
+    with k = O(L) enforced. A tetrahedral block of odd L >= 3 has exactly
+    (L^3 + L)/2 qubits; no block exists for an even L or L < 3, and its size
+    from the same formula is marked extrapolated."""
     if n_logical < 1:
         raise ValueError(f"n (logical qubits) must be >= 1, got {n_logical}")
     if not 0 < epsilon < eps_th:
@@ -686,16 +676,9 @@ def overhead(
     k = max(1, math.ceil(c_k * math.log2(n_logical)))
     l_precision = math.ceil(c_l * math.log(n_logical / delta) / math.log(eps_th / epsilon))
     L = max(math.ceil(k / c_r), l_precision)
-    buildable = L >= 3 and L % 2 == 1 and L <= BUILT_MAX_L
-    if buildable:
-        m = build_tetrahedral_colex(L).n
-        extrapolated = False
-    else:
-        a, b = _block_size_fit()
-        m = int(round(a * L**3 + b))
-        extrapolated = True
+    m = (L**3 + L) // 2
     return OverheadPlan(
-        n_logical, delta, epsilon, eps_th, k, L, k * m, n_logical * k * m, extrapolated
+        n_logical, delta, epsilon, eps_th, k, L, k * m, n_logical * k * m, L < 3 or L % 2 == 0
     )
 
 

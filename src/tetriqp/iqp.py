@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .colex import file_number
 from .rng import make_rng
 
 EXACT_DISTRIBUTION_CAP = 24  # qubits for a full statevector
@@ -484,28 +485,21 @@ def circuit_to_dict(c: IqpCircuit) -> dict:
     }
 
 
-def _file_int(x, field: str) -> int:
-    """An int field of a circuit file, as is: a bool, float or str is refused."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{field} must be an int, got {x!r}")
-    return x
-
-
 def circuit_from_dict(d: dict) -> IqpCircuit:
     """The circuit of `circuit_to_dict`'s keys. n, every T exponent and the
-    i, j and k of every CS gate must be ints and the seed an int or null;
-    anything else raises ValueError naming the field."""
+    i, j and k of every CS gate must be ints, gamma an int or a float and the
+    seed an int or null; anything else raises ValueError naming the field."""
     try:
-        n = _file_int(d["n"], "n")
-        t = tuple(_file_int(x, f"t[{q}]") for q, x in enumerate(d["t"]))
+        n = file_number(d["n"], "n")
+        t = tuple(file_number(x, f"t[{q}]") for q, x in enumerate(d["t"]))
         cs = tuple(
-            tuple(_file_int(g[f], f"cs[{c}].{f}") for f in "ijk") for c, g in enumerate(d["cs"])
+            tuple(file_number(g[f], f"cs[{c}].{f}") for f in "ijk") for c, g in enumerate(d["cs"])
         )
         seed = d.get("seed")
         return IqpCircuit(
             n, t, cs,
-            gamma=float(d.get("gamma", 0.0)),
-            seed=None if seed is None else _file_int(seed, "seed"),
+            gamma=float(file_number(d.get("gamma", 0.0), "gamma", float)),
+            seed=None if seed is None else file_number(seed, "seed"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"circuit file: {e}") from e

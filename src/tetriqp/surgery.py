@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import gf2
-from .colex import Colex, ColexParseError, build_tetrahedral_colex, colex_from_dict, colex_to_dict
+from .colex import (
+    Colex, ColexParseError, build_tetrahedral_colex, colex_from_dict, colex_to_dict, file_number
+)
 from .csscode import CssCode, from_colex
 
 
@@ -254,9 +256,9 @@ def chain_from_dict(d) -> TetrahelixCode:
     for what, names in (("unknown", set(d) - keys), ("missing", keys - set(d))):
         if names:
             raise ColexParseError(f"chain file: {what} keys: {', '.join(sorted(names))}")
-    k = d["k"]
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ColexParseError(f"chain file: k must be an int >= 1, got {k!r}")
+    k = file_number(d["k"], "chain file: k")
+    if k < 1:
+        raise ColexParseError(f"chain file: k must be an int >= 1, got {k}")
     if not isinstance(d["block_colex"], dict):
         raise ColexParseError("chain file: block_colex is not a JSON object")
     try:

@@ -101,6 +101,37 @@ def test_chain_file_bad_input(tmp_path, capsys, chain_file, edit, named):
         assert "cannot read chain file" in err and named in err
 
 
+def _put(key, i, value):
+    def edit(colex):
+        colex[key][i] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, field", [
+    # int() would read each of these as another int, and `code check` would
+    # then check a code other than the one the file holds
+    (lambda c: c.update(L=3.7), "colex.L"),
+    (lambda c: c.update(L=True), "colex.L"),
+    (_put("vertices", 1, True), "colex.vertices[1]"),
+    (lambda c: _put("vertices", 0, 3.0)(c["cells"][0]), "cells[0].vertices[0]"),
+    (lambda c: c["cells"][0].update(color=2.9), "cells[0].color"),
+    (lambda c: c["cells"][0].update(color="2"), "cells[0].color"),
+    (lambda c: c["cells"][0].update(color=True), "cells[0].color"),
+    (lambda c: _put("colors", 0, 1.0)(c["faces"][1]), "faces[1].colors[0]"),
+    (lambda c: c["faces"][1].update(colors="01"), "faces[1].colors[0]"),
+    (lambda c: c["facets"][2].update(missing_color="2"), "facets[2].missing_color"),
+])
+def test_chain_file_refuses_non_int_colex_fields(tmp_path, capsys, chain_file, edit, field):
+    d = json.loads(chain_file.read_text())
+    edit(d["block_colex"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    capsys.readouterr()
+    assert run(["code", "check", "--in", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read chain file" in err and f"{field} must be an int" in err
+
+
 def test_chain_file_not_an_object(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
@@ -164,6 +195,18 @@ def test_circuit_file_refuses_non_int_fields(tmp_path, capsys, edit, field):
     assert f"{field} must be an int" in capsys.readouterr().err
     circ.write_text(json.dumps({**good, "seed": None}))
     assert run(["iqp", "simulate", "--in", str(circ), "--out", str(tmp_path / "d.csv")]) == 0
+
+
+@pytest.mark.parametrize("gamma", ["0.5", True, None, [1.0]])
+def test_circuit_file_refuses_non_number_gamma(tmp_path, capsys, gamma):
+    circ = tmp_path / "c.json"
+    good = {"n": 2, "gamma": 1.0, "t": [1, 2], "cs": [{"i": 0, "j": 1, "k": 1}], "seed": 3}
+    circ.write_text(json.dumps({**good, "gamma": gamma}))
+    assert run(["iqp", "simulate", "--in", str(circ), "--out", str(tmp_path / "d.csv")]) == 2
+    assert "gamma must be a number" in capsys.readouterr().err
+    for ok in (1, 0.5):  # an int passes for a float
+        circ.write_text(json.dumps({**good, "gamma": ok}))
+        assert run(["iqp", "simulate", "--in", str(circ), "--out", str(tmp_path / "d.csv")]) == 0
 
 
 def test_mc_pipeline(tmp_path, capsys):

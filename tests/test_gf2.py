@@ -13,6 +13,11 @@ def mat(rows, cols):
     return BitMatrix.make(rows, cols)
 
 
+def random_rows(rng, nrows, ncols):
+    """Uniform random bit rows."""
+    return [rng.getrandbits(ncols) for _ in range(nrows)]
+
+
 def test_rank_identity():
     m = mat([0b001, 0b010, 0b100], 3)
     assert gf2.rank(m) == 3
@@ -54,7 +59,7 @@ def test_rank_nullity_random():
     for _ in range(50):
         ncols = rng.randrange(1, 24)
         nrows = rng.randrange(0, 20)
-        rows = gf2.random_rows(rng, nrows, ncols)
+        rows = random_rows(rng, nrows, ncols)
         assert gf2.rank(rows, ncols) + len(gf2.kernel_basis(rows, ncols)) == ncols
 
 
@@ -63,7 +68,7 @@ def test_solve_random_consistent():
     for _ in range(50):
         ncols = rng.randrange(1, 20)
         nrows = rng.randrange(1, 16)
-        m = mat(gf2.random_rows(rng, nrows, ncols), ncols)
+        m = mat(random_rows(rng, nrows, ncols), ncols)
         x = rng.getrandbits(ncols)
         b = m.mul_vec(x)
         x2 = gf2.solve(m, b)
@@ -97,7 +102,7 @@ def test_min_weight_generator_permutation_invariance():
     rng = random.Random(3)
     for _ in range(20):
         ncols = 14
-        gens = gf2.random_rows(rng, 5, ncols)
+        gens = random_rows(rng, 5, ncols)
         offset = rng.getrandbits(ncols)
         res1 = gf2.min_weight_in_coset(gens, offset, ncols, weight_cap=6)
         shuffled = gens[:]
@@ -112,7 +117,7 @@ def test_min_weight_exhaustive_cross_check():
     rng = random.Random(5)
     for _ in range(20):
         ncols = 10
-        gens = gf2.random_rows(rng, 4, ncols)
+        gens = random_rows(rng, 4, ncols)
         offset = rng.getrandbits(ncols)
         res = gf2.min_weight_in_coset(gens, offset, ncols, weight_cap=10)
         # brute force over the whole coset
@@ -149,7 +154,7 @@ def test_bitmatrix_validation():
 def test_syndrome_decoder_table_and_search_paths():
     rng = random.Random(21)
     # 6 checks: the table gives a minimum-weight correction for every syndrome
-    rows = tuple(gf2.random_rows(rng, 6, 10))
+    rows = tuple(random_rows(rng, 6, 10))
     dec = gf2.SyndromeDecoder(rows, 10)
     assert dec.table is not None
     lightest = {}
@@ -160,7 +165,7 @@ def test_syndrome_decoder_table_and_search_paths():
         corr, meas = dec.decode(syn)
         assert meas == 0 and dec.syndrome(corr) == syn and corr.bit_count() == w
     # 18 checks: the explainer's correction reproduces the syndrome
-    rows = tuple(gf2.random_rows(rng, 18, 12))
+    rows = tuple(random_rows(rng, 18, 12))
     dec = gf2.SyndromeDecoder(rows, 12)
     assert dec.table is None
     for err in rng.sample(range(1 << 12), 200):
@@ -274,7 +279,7 @@ def test_tracked_elimination_equals_solve():
     outcomes = set()
     for _ in range(40):
         ncols, nchecks = rng.randrange(1, 24), rng.randrange(1, 20)
-        rows = gf2.random_rows(rng, nchecks, ncols)
+        rows = random_rows(rng, nchecks, ncols)
         sigs = [gf2.vector_from_support(f for f in range(nchecks) if rows[f] >> q & 1)
                 for q in range(ncols)]
         ex = gf2.MinWeightExplainer(sigs, nchecks, meas_cols=False)
@@ -295,7 +300,7 @@ def test_tracked_elimination_equals_solve():
     while full_rank < 40:
         ncols = rng.randrange(1, 24)
         nrows = rng.randrange(1, ncols + 1)
-        rows = gf2.random_rows(rng, nrows, ncols)
+        rows = random_rows(rng, nrows, ncols)
         if gf2.rank(rows, ncols) < nrows:
             continue
         full_rank += 1
@@ -320,7 +325,7 @@ def test_syndrome_equals_matrix_product():
     rng = random.Random(31)
     for _ in range(20):
         ncols = rng.randrange(1, 40)
-        rows = tuple(gf2.random_rows(rng, rng.randrange(1, 30), ncols))
+        rows = tuple(random_rows(rng, rng.randrange(1, 30), ncols))
         dec = gf2.SyndromeDecoder(rows, ncols)
         for _ in range(20):
             word = rng.getrandbits(ncols)
@@ -370,10 +375,10 @@ def test_syndrome_table_equals_bfs_on_random_signatures():
     rng = random.Random(41)
     for ncols in list(range(1, 12)) + [63, 64, 65, 100, 127, 128, 129, 150]:
         r = rng.randrange(3, 11)
-        sigs = gf2.random_rows(rng, ncols, r)
+        sigs = random_rows(rng, ncols, r)
         assert gf2.syndrome_table(sigs) == _bfs_table(sigs)
         # rank deficient: columns from the span of r - 2 syndromes
-        basis = gf2.random_rows(rng, r - 2, r)
+        basis = random_rows(rng, r - 2, r)
         sigs = [gf2._xor_over(basis, rng.getrandbits(r - 2)) for _ in range(ncols)]
         table = gf2.syndrome_table(sigs)
         assert table == _bfs_table(sigs)
@@ -385,7 +390,7 @@ def test_syndrome_table_is_lowest_int_minimum_weight():
     rng = random.Random(43)
     for _ in range(60):
         ncols = rng.randrange(1, 13)
-        sigs = gf2.random_rows(rng, ncols, rng.randrange(1, 9))
+        sigs = random_rows(rng, ncols, rng.randrange(1, 9))
         best = {}
         for err in range(1 << ncols):
             syn = gf2._xor_over(sigs, err)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tetriqp import gf2, harness, iqp, surgery
+from tetriqp.colex import build_tetrahedral_colex
 from tetriqp.harness import ChainSim, ExperimentConfig
 from tetriqp.noise import BATCH, NoiseModel, sample_iid_faults
 from tetriqp.rng import TrialStreams, make_rng
@@ -48,7 +49,7 @@ def test_noiseless_outcomes_split_to_zero_block_syndromes(k, L):
     # the finite check behind dropping the reference: every kernel(Hx) vector
     # splits into blocks without syndromes, so the decode is affine on it
     sim = ChainSim.build(k, L)
-    for v in sim.kernel:
+    for v in gf2.kernel_basis(sim.t.code.hx.rows, sim.t.code.n):
         assert not any(surgery.split_frame(sim.t, v).block_syndromes)
 
 
@@ -280,12 +281,27 @@ def test_overhead_spec_example():
     assert plan.L == 10
     assert plan.extrapolated  # L = 10 is even, not buildable
     assert plan.total_qubits == 1024 * plan.block_qubits
+    assert plan.block_qubits == 10 * (10**3 + 10) // 2 == 5050
 
 
 def test_overhead_buildable():
     plan = harness.overhead(8, 0.4, 0.001, 0.1, c_r=1.0)
     if plan.L <= 7 and plan.L % 2 == 1:
         assert not plan.extrapolated
+
+
+@pytest.mark.parametrize("L", range(3, 15, 2))
+def test_block_size_closed_form(L):
+    # the size `overhead` uses is the size of the block the builder makes
+    assert (L**3 + L) // 2 == build_tetrahedral_colex(L).n
+
+
+def test_overhead_exact_beyond_the_built_range():
+    # an odd L >= 11 has a block, so its size is exact, not extrapolated
+    plan = harness.overhead(2048, 0.01, 0.001, 0.01)
+    assert (plan.k, plan.L) == (11, 11)
+    assert plan.block_qubits == plan.k * (11**3 + 11) // 2 == 11 * 671
+    assert not plan.extrapolated
 
 
 def test_overhead_monotone_in_delta():
@@ -523,7 +539,7 @@ def test_prep_memo_entries_are_the_effects_of_their_decodes(k, L):
         dec = sim.block_decoder
         xhat, _ = dec.decode_prep(key >> shift)
         want = xhat << t.block_offset(b) << lay.layer_x[0]
-        want ^= ((xhat & dec.lz).bit_count() & 1) << lay.prep_logical[0] + b
+        want ^= ((xhat & t.block.code.logical_z).bit_count() & 1) << lay.prep_logical[0] + b
         for j in (b - 1, b):  # b is merge b - 1's right side, merge b's left
             if 0 <= j < k - 1:
                 word = gf2.vector_from_support(
