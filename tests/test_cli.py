@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import pytest
 
@@ -101,29 +103,24 @@ def test_chain_file_bad_input(tmp_path, capsys, chain_file, edit, named):
         assert "cannot read chain file" in err and named in err
 
 
-def _put(key, i, value):
-    def edit(colex):
-        colex[key][i] = value
-    return edit
-
-
-@pytest.mark.parametrize("edit, field", [
+@pytest.mark.parametrize("path, value, field", [
     # int() would read each of these as another int, and `code check` would
     # then check a code other than the one the file holds
-    (lambda c: c.update(L=3.7), "colex.L"),
-    (lambda c: c.update(L=True), "colex.L"),
-    (_put("vertices", 1, True), "colex.vertices[1]"),
-    (lambda c: _put("vertices", 0, 3.0)(c["cells"][0]), "cells[0].vertices[0]"),
-    (lambda c: c["cells"][0].update(color=2.9), "cells[0].color"),
-    (lambda c: c["cells"][0].update(color="2"), "cells[0].color"),
-    (lambda c: c["cells"][0].update(color=True), "cells[0].color"),
-    (lambda c: _put("colors", 0, 1.0)(c["faces"][1]), "faces[1].colors[0]"),
-    (lambda c: c["faces"][1].update(colors="01"), "faces[1].colors[0]"),
-    (lambda c: c["facets"][2].update(missing_color="2"), "facets[2].missing_color"),
+    (("L",), 3.7, "colex.L"),
+    (("L",), True, "colex.L"),
+    (("vertices", 1), True, "colex.vertices[1]"),
+    (("cells", 0, "vertices", 0), 3.0, "cells[0].vertices[0]"),
+    (("cells", 0, "color"), 2.9, "cells[0].color"),
+    (("cells", 0, "color"), "2", "cells[0].color"),
+    (("cells", 0, "color"), True, "cells[0].color"),
+    (("faces", 1, "colors", 0), 1.0, "faces[1].colors[0]"),
+    (("faces", 1, "colors"), "01", "faces[1].colors[0]"),
+    (("facets", 2, "missing_color"), "2", "facets[2].missing_color"),
 ])
-def test_chain_file_refuses_non_int_colex_fields(tmp_path, capsys, chain_file, edit, field):
+def test_chain_file_refuses_non_int_colex_fields(tmp_path, capsys, chain_file, path, value, field):
     d = json.loads(chain_file.read_text())
-    edit(d["block_colex"])
+    *where, last = path
+    functools.reduce(operator.getitem, where, d["block_colex"])[last] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
     capsys.readouterr()
