@@ -86,10 +86,7 @@ def cmd_code_distance(args) -> int:
 def cmd_code_t_partition(args) -> int:
     chain = _load_chain(args.infile)
     code = chain.block.code
-    try:
-        tp = csscode.find_t_partition(code)
-    except csscode.EnumerationTooLarge as e:
-        return _exit_input(str(e))
+    tp = csscode.find_t_partition(code)
     if tp is None:
         _err("no candidate partition passed (not a nonexistence proof)")
         return 1
@@ -169,6 +166,10 @@ def cmd_mc(args) -> int:
     if args.workers is not None and args.workers < 1:
         return _exit_input(f"--workers must be >= 1, got {args.workers}")
     cfg = harness.ExperimentConfig.from_file(args.config)
+    if args.trace is not None and args.what != "pipeline":
+        return _exit_input(f"--trace is read by mc pipeline only, not by mc {args.what}")
+    if args.out is not None and args.what == "pipeline":
+        return _exit_input("--out is not read by mc pipeline, which prints its estimate")
     workers = cfg.workers if args.workers is None else args.workers
     if args.what == "prep":
         rows = []
@@ -295,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     mc = sub.add_parser("mc", help="Monte Carlo experiments")
     mc.add_argument("what", choices=("prep", "pipeline", "scan"))
     mc.add_argument("--config", required=True)
-    mc.add_argument("--out")
+    mc.add_argument("--out", help="output file (prep and scan only)")
     mc.add_argument("--workers", type=int)
-    mc.add_argument("--trace", help="write per-trial decoder trace (JSON lines)")
+    mc.add_argument("--trace", help="write per-trial decoder trace (JSON lines; pipeline only)")
     mc.set_defaults(func=cmd_mc)
 
     e2 = sub.add_parser("e2e", help="end-to-end TV experiment")

@@ -449,8 +449,8 @@ def colex_to_dict(c: Colex) -> dict:
 
 def colex_from_dict(d: dict) -> Colex:
     """The colex of `colex_to_dict`'s keys. L, every vertex id and every
-    color must be ints; anything else raises ColexParseError naming the
-    field."""
+    color must be ints, and L must fit the vertex count (L^3+L)/2 of every
+    built block; anything else raises ColexParseError naming the field."""
 
     def need(obj, key, ctx):
         if key not in obj:
@@ -471,6 +471,10 @@ def colex_from_dict(d: dict) -> Colex:
         raise ColexParseError("colex.vertices: duplicate vertex id")
     if sorted(verts) != list(range(len(verts))):
         raise ColexParseError("colex.vertices: ids must be dense 0..n-1")
+    if len(verts) != (L**3 + L) // 2:
+        raise ColexParseError(
+            f"colex.L = {L} does not fit {len(verts)} vertices: an L-block has (L^3+L)/2"
+        )
     vset = set(verts)
 
     def vtuple(obj, ctx):

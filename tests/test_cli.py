@@ -88,6 +88,8 @@ def _set(key, value):
     (_set("block_colex", [1, 2]), "block_colex is not a JSON object"),
     (lambda d: d["block_colex"].pop("facets"), "'facets'"),
     (lambda d: d["block_colex"]["faces"][0].update(colors=[[1], 2]), "not 'list'"),
+    # an L=3 block claiming L=5 would otherwise check, and report d_Z, as valid
+    (lambda d: d["block_colex"].update(L=5), "colex.L = 5"),
 ])
 def test_chain_file_bad_input(tmp_path, capsys, chain_file, edit, named):
     # a chain file holds k and the block colex only: anything else, and
@@ -308,7 +310,7 @@ def test_config_caps_check_only_values(tmp_path):
     ExperimentConfig(L=7, Ls=(3, 5, 7), k=8, ks=(1, 8), max_k=8)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 3, "k": 1, "trials": 20, "seed": 2, "max_k": 1}))
-    assert run(["mc", "pipeline", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert run(["mc", "pipeline", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("flag", ["0", "-3"])
@@ -331,10 +333,24 @@ def test_mc_workers_flag_overrides_config(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "logical_error_rate", fake)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"L": 3, "Ls": [3], "k": 1, "trials": 20, "seed": 2, "workers": 2}))
-    for what in ("pipeline", "prep"):
-        argv = ["mc", what, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for argv in (["mc", "pipeline"], ["mc", "prep", "--out", str(tmp_path / "o")]):
+        argv += ["--config", str(cfg)]
         assert run(argv) == 0 and run([*argv, "--workers", "1"]) == 0
     assert seen == [2, 1, 2, 1]
+
+
+@pytest.mark.parametrize("what, flag", [
+    ("scan", "--trace"), ("prep", "--trace"), ("pipeline", "--out"),
+])
+def test_mc_unread_flag_rejected(tmp_path, capsys, what, flag):
+    # a flag the subcommand would ignore is bad input, named, and nothing is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 3, "Ls": [3], "k": 1, "trials": 20, "seed": 2}))
+    written = tmp_path / "written"
+    capsys.readouterr()
+    assert run(["mc", what, "--config", str(cfg), flag, str(written)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not written.exists()
 
 
 def test_e2e(tmp_path, capsys):
@@ -387,12 +403,13 @@ def test_plan_overhead_bad_input_named(capsys, flag, value, named):
     assert named in capsys.readouterr().err
 
 
-def test_code_t_partition_enumeration_too_large(tmp_path, capsys):
+def test_code_t_partition_l7(tmp_path, capsys):
+    # 40 X generators, so 2^40 stabilizers: the check reads their overlaps
     p = tmp_path / "c7.json"
     assert run(["code", "build", "--L", "7", "--out", str(p)]) == 0
     capsys.readouterr()
-    assert run(["code", "t-partition", "--in", str(p)]) == 2
-    assert "too large to verify partitions" in capsys.readouterr().err
+    assert run(["code", "t-partition", "--in", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["residue"] in (1, 7)
 
 
 def test_help_exits_zero():
