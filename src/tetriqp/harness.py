@@ -11,11 +11,13 @@ whole batches, and a run that ends inside a batch draws that batch whole
 and keeps its first trials. So results are bit-identical for a fixed seed
 whatever the worker count, trial t is the same in every run that reaches
 it, and distinct runs, qubits, grid points and rows never share a stream.
-Only trials with a fault reach `ChainSim.run_trial`, as the codes of their
-faults; their propagation is the XOR of the effects that
-`noise.stage_layout` precomputes per chain. The
-twirl of the X pattern crossing the diagonal layer is drawn by `run_trial`,
-one coin per qubit, and nowhere else.
+`ChainSim.run_batch` is the one trial engine: it passes each trial with a
+fault to `ChainSim.run_trial`, as its fault codes, and returns a plain row
+(trial, n_faults, failed, sector_flips, prep_noncorrectable) for each. A
+trial without a fault has no row: every merge aligned, not failed. Faults
+propagate as the XOR of the effects that `noise.stage_layout` precomputes
+per chain; `run_trial` draws the twirl of the X pattern crossing the
+diagonal layer, one coin per qubit, and nothing else does.
 
 A trial decodes syndromes, not patterns: its effect word already holds each
 block's preparation face syndrome, and its final decode depends on the
@@ -167,23 +169,6 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    failed: bool  # the decoded logical of the outcome flips is 1
-    sector_flips: tuple[int, ...]  # per merge: residual logical misalignment
-    prep_noncorrectable: int  # blocks whose residual acts as the X logical
-    n_faults: int
-
-    @property
-    def merge_noncorrectable(self) -> int:
-        """The count of wrong merge decodes, one per sector flip."""
-        return sum(self.sector_flips)
-
-    @property
-    def corrupted(self) -> bool:
-        return self.failed or any(self.sector_flips) or self.prep_noncorrectable > 0
-
-
 class ChainSim:
     """Reusable simulator for one (k, L) chain. Its batches draw from one
     shared, re-keyed generator, so one thread at a time may run them."""
@@ -204,6 +189,10 @@ class ChainSim:
         )
         self._prep_region = sum(self._prep_fields)
         self._pair_region = sum(self._pair_fields)
+        # the fields that every trial reads, out of the layout's (shift, mask) pairs
+        self._logical_region = lay.prep_logical[1] << lay.prep_logical[0]
+        self._x_at, self._x_mask = lay.layer_x
+        self._out_at, self._out_mask = lay.outcome_flips
         # bit position in a prep or merge field -> its block or merge
         self._owner = [0] * (self._prep_region | self._pair_region).bit_length()
         for fields in (self._prep_fields, self._pair_fields):
@@ -212,7 +201,7 @@ class ChainSim:
                     self._owner[bit] = i
         self._prep_memo = {}  # a block's face syndrome, in place in the effect -> fix
         self._final_memo = {}  # chain syndrome -> parity F of the block decodes
-        self._fault_free = TrialResult(False, (0,) * (t.k - 1), 0, 0)
+        self._aligned = (0,) * (t.k - 1)  # the sector flips of a trial with every merge aligned
 
     @classmethod
     @functools.cache
@@ -232,39 +221,43 @@ class ChainSim:
                 o ^= v
         return o
 
-    def run_batch(self, model: NoiseModel, seed, b: int, size: int = BATCH) -> list[TrialResult]:
-        """The first `size` trials of batch b: the faults of all BATCH trials
-        from stream (seed, b, 0), then `run_trial` for each trial with a
-        fault, in trial order, all drawing twirl coins from stream
-        (seed, b, 1). The trials without a fault share one result. `seed`
-        is an int or a spawn tuple (see `rng`)."""
-        results = [self._fault_free] * size
+    def run_batch(self, model: NoiseModel, seed, b: int, size: int = BATCH) -> list[tuple]:
+        """The rows of the faulty trials among the first `size` trials of
+        batch b, in trial order: the faults of all BATCH trials come from
+        stream (seed, b, 0), then `run_trial` runs each trial with a fault,
+        all drawing twirl coins from stream (seed, b, 1). A row is
+        (trial, n_faults, failed, sector_flips, prep_noncorrectable), trial
+        counted within the batch (see the module docstring). `seed` is an
+        int or a spawn tuple (see `rng`)."""
         faults = sample_iid_faults(model, self.layout, self._streams(seed, b, 0))
-        if len(faults):
-            twirl_rng = self._streams(seed, b, 1)  # the fault draws are done
-            for trial, trial_faults in faults.by_trial(size):
-                results[trial] = self.run_trial(trial_faults, twirl_rng)
-        return results
+        if not len(faults):
+            return []
+        twirl_rng = self._streams(seed, b, 1)  # the fault draws are done
+        rows = []
+        for trial, codes in faults.by_trial(size):
+            failed, sector, prep_nc = self.run_trial(codes, twirl_rng)
+            rows.append((trial, len(codes), failed, sector, prep_nc))
+        return rows
 
-    def run_trial(self, faults, twirl_rng) -> TrialResult:
+    def run_trial(self, faults, twirl_rng) -> tuple[bool, tuple[int, ...], int]:
         """One trial with at least one fault, given as its fault codes (see
         noise.StageLayout): `correct` the XOR of their effects, then draw one
         twirl coin from `twirl_rng` per qubit of the X pattern crossing the
-        diagonal layer, then decode the final outcome flips."""
+        diagonal layer, then decode the final outcome flips. Returns
+        (failed, sector_flips, prep_noncorrectable): whether the decoded
+        logical of the outcome flips is 1, the per-merge residual logical
+        misalignments and the number of blocks whose residual acts as the X
+        logical."""
         x_diff, flips, sector, prep_nc = self.correct(propagate(faults, self.layout))
         if x_diff:
             flips ^= twirl_mask(x_diff, twirl_rng)
-        return TrialResult(
-            failed=flips != 0 and self._decode(flips) != 0,
-            sector_flips=sector,
-            prep_noncorrectable=prep_nc,
-            n_faults=len(faults),
-        )
+        return flips != 0 and self._decode(flips) != 0, sector, prep_nc
 
     def correct(self, effect: int) -> tuple[int, int, tuple[int, ...], int]:
         """The deterministic part of a trial: decode each preparation and
         merge of a propagated fault effect and apply the fixes. Every field
-        of `effect` is read through the layout's (shift, mask) pairs.
+        of `effect` is read through the layout's (shift, mask) pairs, those
+        that every trial reads as copies kept on the simulator.
 
         A block whose face syndrome is nonzero gets its preparation fix from
         the prep memo: the effect of the decoded X pattern x̂ (see
@@ -278,7 +271,6 @@ class ChainSim:
         before the twirl, the per-merge residual logical misalignments and
         the number of blocks whose preparation residual acts as the X logical.
         """
-        lay = self.layout
         keys = effect & self._prep_region
         while keys:  # the blocks with a nonzero syndrome, last first
             b = self._owner[keys.bit_length() - 1]
@@ -288,12 +280,12 @@ class ChainSim:
             if fix is None:
                 fix = self._prep_fix(b, key)
             effect ^= fix
-        x_diff = effect >> lay.layer_x[0] & lay.layer_x[1]
-        prep_nc = (effect >> lay.prep_logical[0] & lay.prep_logical[1]).bit_count()
-        sector = self._fault_free.sector_flips  # every merge aligned
+        x_diff = effect >> self._x_at & self._x_mask
+        prep_nc = (effect & self._logical_region).bit_count()
+        sector = self._aligned
         words = effect & self._pair_region
         if words:
-            sector = list(sector)
+            lay, sector = self.layout, list(sector)
             while words:  # the merges with a nonzero pair word, last first
                 j = self._owner[words.bit_length() - 1]
                 words &= ~self._pair_fields[j]
@@ -306,8 +298,7 @@ class ChainSim:
                     x_diff ^= self.t.block_logical_x(j)
                 sector[j] = xhat ^ xtrue
             sector = tuple(sector)
-        shift, mask = lay.outcome_flips
-        return x_diff, effect >> shift & mask, sector, prep_nc
+        return x_diff, effect >> self._out_at & self._out_mask, sector, prep_nc
 
     def _prep_fix(self, b: int, key: int) -> int:
         """Prep memo miss: decode block b's face syndrome, held in place in
@@ -381,22 +372,27 @@ def _count_chunk(args) -> tuple[tuple[int, int, int, int], list | None]:
     sim = ChainSim.build(k, L)
     fails = merge_nc = prep_nc = corrupt = 0
     records = [] if trace else None
+    fault_free = (0, False, (0,) * (k - 1), 0)  # n_faults, failed, sector_flips, prep_nc
     for first in range(start, stop, BATCH):
-        results = sim.run_batch(model, seed, first // BATCH, min(BATCH, stop - first))
-        for trial, res in enumerate(results, first):
-            if res is not sim._fault_free:
-                fails += res.failed
-                merge_nc += res.merge_noncorrectable
-                prep_nc += res.prep_noncorrectable
-                corrupt += res.corrupted
-            if records is not None:
+        size = min(BATCH, stop - first)
+        rows = sim.run_batch(model, seed, first // BATCH, size)
+        for _, _, failed, sector, prep in rows:
+            flipped = sum(sector)  # one wrong merge decode per sector flip
+            fails += failed
+            merge_nc += flipped
+            prep_nc += prep
+            corrupt += failed or flipped > 0 or prep > 0
+        if records is not None:
+            faulty = {row[0]: row[1:] for row in rows}
+            for trial in range(size):
+                n_faults, failed, sector, prep = faulty.get(trial, fault_free)
                 records.append(
                     {
-                        "trial": trial,
-                        "n_faults": res.n_faults,
-                        "sector_flips": list(res.sector_flips),
-                        "prep_noncorrectable": res.prep_noncorrectable,
-                        "failed": res.failed,
+                        "trial": first + trial,
+                        "n_faults": n_faults,
+                        "sector_flips": list(sector),
+                        "prep_noncorrectable": prep,
+                        "failed": failed,
                     }
                 )
     return (fails, merge_nc, prep_nc, corrupt), records
@@ -603,20 +599,23 @@ def end_to_end(config: ExperimentConfig) -> EndToEndResult:
     rng_sample = make_rng((config.seed, 0xE2E))
     for first in range(0, config.trials, BATCH):
         size = min(BATCH, config.trials - first)
-        batches = [sim.run_batch(model, (config.seed, q), first // BATCH, size) for q in range(n)]
-        for chains in zip(*batches):
+        chains = [
+            {row[0]: row for row in sim.run_batch(model, (config.seed, q), first // BATCH, size)}
+            for q in range(n)
+        ]
+        for trial in range(size):
             flips = 0
             alignments = []
-            for q, res in enumerate(chains):
-                if res is sim._fault_free:
+            for q, rows in enumerate(chains):
+                row = rows.get(trial)
+                if row is None:  # no fault: every merge aligned, not failed
                     alignments.append(aligned)
                     continue
-                if res.failed:
+                _, _, failed, sector, prep_nc = row
+                if failed:
                     flips |= 1 << q
-                align = itertools.accumulate(res.sector_flips, operator.xor, initial=0)
-                alignments.append(tuple(align))
-                if res.corrupted:
-                    corrupted_chains += 1
+                alignments.append(tuple(itertools.accumulate(sector, operator.xor, initial=0)))
+                corrupted_chains += failed or any(sector) or prep_nc > 0
             key = tuple(alignments)
             cdf = cdfs.get(key)
             if cdf is None:

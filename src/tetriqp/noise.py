@@ -15,8 +15,9 @@ trial computes itself is the decodes of those syndromes.
 X-type faults sitting at the depth-1 diagonal layer do not propagate as
 Pauli; they are replaced by X plus a Z with probability one half (Pauli
 twirl). Propagation is deterministic and leaves that coin to the trial: the
-effect holds the X pattern crossing the layer, and ChainSim.run_trial draws
-one coin per qubit of it with `twirl_mask`.
+effect holds the X pattern crossing the layer, and ChainSim.run_trial, which
+ChainSim.run_batch calls for each faulty trial of a batch, draws one coin per
+qubit of it with `twirl_mask`.
 
 Faults are sampled a batch of BATCH trials at a time, over the flattened
 (BATCH, locations) grid, from the positions of its faulty cells alone.

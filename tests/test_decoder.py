@@ -109,7 +109,8 @@ def test_lift_logical(fc3, block3):
 
 def test_prep_noiseless(dec3, sim2):
     assert dec3.decode_prep(0) == (0, 0)
-    assert all(r.prep_noncorrectable == 0 for r in sim2.run_batch(NoiseModel(0.0), 9, 0))
+    assert sim2.run_batch(NoiseModel(0.0), 9, 0) == []  # no trial has a fault or a row
+    assert sim2.run_trial([], None)[2] == 0  # no block with a residual X logical
 
 
 def test_prep_single_measurement_flip(block3, dec3):
@@ -175,9 +176,8 @@ def test_prep_single_cluster_min_weight(block3, dec3):
 
 def test_merge_noiseless(sim2, fc3):
     assert dc.FacetDecoder(fc3).decode(0) == (0, 0)
-    for res in sim2.run_batch(NoiseModel(0.0), 2, 0):
-        assert res.sector_flips == (0,)
-        assert res.merge_noncorrectable == 0
+    assert sim2.run_batch(NoiseModel(0.0), 2, 0) == []  # no trial has a fault or a row
+    assert sim2.run_trial([], None)[1] == (0,)  # the one merge aligned
 
 
 def test_merge_single_flip_harmless(fc3):
@@ -304,10 +304,10 @@ def test_inter_block_strings_corrected(sim2, chain2):
 
 
 def test_merge_flags_zero_noise_and_noisy(sim2):
-    assert sim2.run_batch(NoiseModel(0.0), 5, 0)[0].merge_noncorrectable == 0
+    assert sim2.run_batch(NoiseModel(0.0), 5, 0) == []  # every trial aligned
     # heavy measurement noise produces wrong merge decodes eventually
     model = NoiseModel(0.4, mix_x=0, mix_z=0, mix_y=0, mix_meas=1.0)
-    flagged = sum(r.merge_noncorrectable for b in (0, 1) for r in sim2.run_batch(model, 6, b))
+    flagged = sum(sum(sector) for b in (0, 1) for _, _, _, sector, _ in sim2.run_batch(model, 6, b))
     assert flagged > 0
 
 

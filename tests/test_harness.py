@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from tetriqp import gf2, harness, iqp, surgery
 from tetriqp.colex import build_tetrahedral_colex
 from tetriqp.harness import ChainSim, ExperimentConfig
-from tetriqp.noise import BATCH, NoiseModel, sample_iid_faults
+from tetriqp.noise import BATCH, NoiseModel, propagate, sample_iid_faults, twirl_mask
 from tetriqp.rng import TrialStreams, make_rng
 from tetriqp.surgery import build_tetrahelix
 
@@ -30,16 +31,46 @@ def test_trial_determinism():
 
 
 def test_batch_prefix_and_fault_free_results():
-    # a truncated batch is the whole batch's prefix, and every trial
-    # without a fault is the one shared fault-free result
+    # a truncated batch is the whole batch's prefix, and exactly the trials
+    # with a fault have a row, with their fault counts, in trial order
     sim = ChainSim.build(2, 3)
     model = NoiseModel(0.004)
     whole = sim.run_batch(model, 3, 1)
-    assert len(whole) == BATCH
-    assert sim.run_batch(model, 3, 1, 100) == whole[:100]
-    free = [r for r in whole if r.n_faults == 0]
-    assert free and all(r is sim._fault_free for r in free)
-    assert all(r.n_faults > 0 for r in whole if r is not sim._fault_free)
+    faults = sample_iid_faults(model, sim.layout, TrialStreams()(3, 1, 0))
+    counts = [(trial, len(codes)) for trial, codes in faults.by_trial()]
+    assert [row[:2] for row in whole] == counts
+    assert 0 < len(whole) < BATCH and all(n_faults > 0 for _, n_faults, *_ in whole)
+    assert sim.run_batch(model, 3, 1, 100) == [row for row in whole if row[0] < 100]
+
+
+def _oracle_rows(sim, model, seed, b, size):
+    """The reference for `run_batch`: the rows of batch b computed trial by
+    trial, with `by_trial`, then `correct(propagate(...))`, `twirl_mask`
+    and `_decode` for each faulty trial."""
+    streams = TrialStreams()
+    faults = sample_iid_faults(model, sim.layout, streams(seed, b, 0))
+    twirl_rng = streams(seed, b, 1)
+    rows = []
+    for trial, codes in faults.by_trial(size):
+        x_diff, flips, sector, prep_nc = sim.correct(propagate(codes, sim.layout))
+        if x_diff:
+            flips ^= twirl_mask(x_diff, twirl_rng)
+        failed = flips != 0 and sim._decode(flips) != 0
+        rows.append((trial, len(codes), failed, sector, prep_nc))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "k, L, eps", [(1, 3, 0.005), (1, 5, 0.005), (2, 3, 0.05), (4, 5, 0.01), (5, 3, 0.015)]
+)
+def test_batch_rows_equal_the_per_trial_oracle(k, L, eps):
+    sim, oracle = ChainSim.build(k, L), ChainSim(build_tetrahelix(k, L))
+    model = NoiseModel(eps)
+    for seed in (1, 7, (8, 2)):
+        for b, size in ((0, BATCH), (1, 168), (2, 1)):
+            rows = sim.run_batch(model, seed, b, size)
+            assert rows == _oracle_rows(oracle, model, seed, b, size)
+            assert all(type(row[2]) is bool for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -83,8 +114,8 @@ def test_failed_equals_reference_comparison(monkeypatch):
         twirl_rng = make_rng((seed, 1))
         for trial, trial_faults in faults.by_trial(150):
             reference.clear()
-            res = sim.run_trial(trial_faults, twirl_rng)
-            assert res.failed == (reference == [True])
+            failed, _, _ = sim.run_trial(trial_faults, twirl_rng)
+            assert failed == (reference == [True])
             checked += bool(reference)
         monkeypatch.undo()
     assert checked > 200
@@ -241,7 +272,7 @@ def test_criterion_11_runs_share_no_stream(monkeypatch):
 
     def record_batch(self, model, seed, b, size=BATCH):
         chain_trials.append((seed, b, size))
-        return [self._fault_free] * size
+        return []  # every trial fault-free
 
     starts = []
 
@@ -447,6 +478,17 @@ def test_trace_output(tmp_path):
     assert est == est2
 
 
+TRACE_SHA256 = "8ddfc4112128f7787cdb069c1902730d0d831cd6951b9491e0857bd09c9b6706"
+
+
+def test_trace_content_is_pinned(tmp_path):
+    # every field of every record, the two fault-free trials and the
+    # truncated second batch included
+    out = tmp_path / "trace.jsonl"
+    harness.logical_error_rate(3, 2, NoiseModel(0.05), 300, seed=5, trace_path=out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACE_SHA256
+
+
 def _trace(tmp_path, trials):
     out = tmp_path / f"trace{trials}.jsonl"
     est = harness.logical_error_rate(3, 2, NoiseModel(0.004), trials, seed=23, trace_path=out)
@@ -576,3 +618,26 @@ def test_memos_stay_within_the_cap_and_warm_equals_fresh(monkeypatch):
     assert sim.run_batch(model, 31, 1) == fresh.run_batch(model, 31, 1)
     cfg = ExperimentConfig(n=3, epsilon=0.05, gamma=1.0, trials=300, seed=4, L=3)
     assert harness.end_to_end(cfg) == harness.end_to_end(cfg)
+
+
+@pytest.mark.parametrize("k, L", [(k, 3) for k in (1, 2, 3, 4)] + [(1, 5), (2, 5)])
+def test_memo_size_changes_no_row_or_estimate(monkeypatch, k, L):
+    # a hit returns what a miss would compute: with two entries per memo
+    # nearly every decode misses, and the rows and estimate stay the same
+    model, trials = NoiseModel(0.03), 2 * BATCH + 44
+
+    def run():
+        sim = ChainSim(build_tetrahelix(k, L))
+        with monkeypatch.context() as patch:
+            patch.setattr(ChainSim, "build", classmethod(lambda cls, k, L: sim))
+            est = harness.logical_error_rate(L, k, model, trials, seed=23)
+        rows = [sim.run_batch(model, 29, b) for b in range(2)]
+        return est, rows, len(sim._prep_memo) + len(sim._final_memo)
+
+    est, rows, entries = run()
+    assert entries > 4
+    monkeypatch.setattr(harness, "MEMO_MAX", 2)
+    small_est, small_rows, small_entries = run()
+    assert small_entries <= 4
+    assert small_rows == rows
+    assert small_est == est
