@@ -6,7 +6,9 @@ breaks from a lookup table when there are at most 16 checks. Otherwise a
 pruned depth-first search solves each syndrome cluster and returns the first
 minimum-weight combination of its candidate columns in lexicographic order;
 where a plain enumeration of those combinations would exceed its work budget
-the cluster takes a deterministic greedy fallback instead. That budget is
+the cluster takes a deterministic greedy fallback instead: column by column,
+the one that leaves the fewest violated checks, all columns scored at once
+by a numpy popcount of their packed signatures. That budget is
 kept only so that decodes stay bit-identical until an exact decoder replaces
 the search (ROADMAP.md, item 1). Cluster decodes are memoised per decoder.
 The joint data-plus-measurement preparation decode always searches.

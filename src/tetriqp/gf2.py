@@ -331,6 +331,12 @@ def _or_over(table, mask: int) -> int:
     return out
 
 
+def _word_rows(vs, nwords: int) -> np.ndarray:
+    """The ints vs as rows of nwords uint64 words, least significant first."""
+    raw = b"".join(v.to_bytes(8 * nwords, "little") for v in vs)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, nwords)
+
+
 CLUSTER_MEMO_MAX = 1 << 12  # cluster decodes kept per explainer; cleared when full
 
 
@@ -347,9 +353,13 @@ class MinWeightExplainer:
     of minimum weight. A packing bound prunes the search. The enumeration's
     work budget (the summed binomials of the weights tried) still decides
     when to give up and fall back to a deterministic greedy, which is then
-    not minimum weight. The budget is kept only so that decodes stay
-    bit-identical until an exact decoder replaces this one (ROADMAP.md,
-    item 1). Cluster decodes are memoised, up to CLUSTER_MEMO_MAX of them.
+    not minimum weight: it picks, one at a time, the unused data column that
+    leaves the fewest violated checks (lowest column on ties) while that
+    lowers their count, scoring every column per pick by one numpy popcount
+    of its signature, packed as uint64 words, against the remainder. The
+    budget is kept only so that decodes stay bit-identical until an exact
+    decoder replaces this one (ROADMAP.md, item 1). Cluster decodes are
+    memoised, up to CLUSTER_MEMO_MAX of them.
     """
 
     def __init__(self, col_sigs: list[int], n_checks: int, meas_cols: bool,
@@ -366,6 +376,8 @@ class MinWeightExplainer:
                 cols[f] |= 1 << q
         self.check_adj = adj
         self.check_cols = cols
+        nwords = max(1, -(-n_checks // 64))
+        self._sig_words = _word_rows(col_sigs, nwords)  # the greedy's popcounts
         self._memo: dict[int, tuple[int, int]] = {}
 
     def _clusters(self, syndrome: int):
@@ -490,19 +502,26 @@ class MinWeightExplainer:
         return self._greedy(comp)
 
     def _greedy(self, comp: int) -> tuple[int, int]:
-        sigs = self.col_sigs
+        sigs, words = self.col_sigs, self._sig_words
         data = 0
         remaining = comp
-        while remaining:
-            # the unused column that clears the most violated checks, lowest
-            # q on ties; only columns touching `remaining` can clear any
-            cols = support(_or_over(self.check_cols, remaining) & ~data)
-            after = [(remaining ^ sigs[q]).bit_count() for q in cols]
-            if not after or min(after) >= remaining.bit_count():
+        rem = _word_rows([comp], words.shape[1])[0]
+        used = np.zeros(len(sigs), dtype=bool)
+        while remaining and len(sigs):
+            # the unused column that leaves the fewest violated checks, lowest
+            # q on ties (argmin takes the first minimum); a column touching
+            # no violated check leaves no fewer, so it can only end the loop;
+            # with one word (every chain explainer) no sum is needed
+            counts = np.bitwise_count(words ^ rem)
+            after = counts[:, 0] if len(rem) == 1 else counts.sum(axis=1)
+            after[used] = self.n_checks + 1
+            q = int(after.argmin())
+            if after[q] >= remaining.bit_count():
                 break
-            q = cols[after.index(min(after))]
+            used[q] = True
             data |= 1 << q
             remaining ^= sigs[q]
+            rem ^= words[q]
         if self.meas_cols:
             return data, remaining
         if remaining:

@@ -377,25 +377,6 @@ def ising_partition(w: dict, v, omega: complex) -> complex:
     return sum(cnt * omega**e for e, cnt in sorted(counts.items()))
 
 
-def circuit_to_ising(c: IqpCircuit) -> tuple[dict, list[int]]:
-    """Integer Ising weights with p(0^n) = 4^-n |Z(e^{i pi/8})|^2.
-
-    Substituting z = (1 - s)/2 into the circuit phase gives edge weights
-    w_ij = cs_ij and vertex weights v_k = -(t_k + sum_j cs_kj), up to a
-    global phase that drops out of |Z|^2.
-    """
-    cs = c.cs_map()
-    w = {(i, j): k for (i, j), k in cs.items()}
-    v = []
-    for q in range(c.n):
-        tot = c.t_exponents[q]
-        for (i, j), k in cs.items():
-            if q in (i, j):
-                tot += k
-        v.append(-tot)
-    return w, v
-
-
 def simulate_parallel_exact(layout: ParallelLayout) -> Distribution:
     """Exact logical-outcome distribution of the depth-1 GHZ compilation.
 

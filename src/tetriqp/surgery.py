@@ -76,9 +76,6 @@ class TetrahelixCode:
         """The ascending vertices of the facet that merge j glues."""
         return tuple(sorted(self.block.colex.facet(j % 4).vertices))
 
-    def max_fusion_span(self) -> int:
-        return max(len(cls) for cls in self.fused_cells)
-
     @functools.cached_property
     def split_context(self) -> "SplitContext":
         """The software-split structure of this chain, built on first use."""

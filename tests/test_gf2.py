@@ -274,6 +274,54 @@ def test_cluster_search_equals_enumeration_on_random_codes():
     assert paths == {(False, False), (True, False), (True, True)}
 
 
+def test_cluster_search_equals_enumeration_on_multiword_codes(monkeypatch):
+    # 65-140 checks: the greedy scores its columns over two or three words
+    greedy = gf2.MinWeightExplainer._greedy
+    ran = []
+
+    def counted(self, comp):
+        ran.append((self._sig_words.shape[1], comp))
+        return greedy(self, comp)
+
+    monkeypatch.setattr(gf2.MinWeightExplainer, "_greedy", counted)
+    rng = random.Random(47)
+    paths = set()
+    for trial in range(30):
+        ncols, nchecks = rng.randrange(40, 200), rng.randrange(65, 141)
+        sigs = [gf2.vector_from_support(rng.sample(range(nchecks), rng.randrange(1, 5)))
+                for _ in range(ncols)]
+        ex = gf2.MinWeightExplainer(sigs, nchecks, meas_cols=trial % 2 == 0,
+                                    budget=rng.choice([30, 400]))
+        assert ex._sig_words.shape == (ncols, -(-nchecks // 64))
+        for _ in range(6):
+            syn = (gf2._xor_over(sigs, rng.getrandbits(ncols) & rng.getrandbits(ncols)
+                                 & rng.getrandbits(ncols))
+                   if rng.random() < 0.5 else rng.getrandbits(nchecks)) or 1
+            for comp in ex._clusters(syn):
+                want, fell_back = _enumerated_cluster(ex, comp)
+                paths.add((ex.meas_cols, fell_back, want is None))
+                if want is None:
+                    with pytest.raises(ValueError, match="inconsistent"):
+                        ex._solve_cluster(comp)
+                else:
+                    assert ex._solve_cluster(comp) == want
+    assert {(True, True, False), (False, True, False), (False, True, True)} <= paths
+    assert min(words for words, _ in ran) >= 2
+    assert any(comp >> 64 and comp & (1 << 64) - 1 for _, comp in ran)
+
+
+def test_greedy_ties_pick_the_lowest_column():
+    # two columns each leave one of the three violated checks 1, 66, 67;
+    # whichever comes first is picked, and the other then clears nothing
+    a, b = gf2.vector_from_support([1, 66]), gf2.vector_from_support([66, 67])
+    comp = gf2.vector_from_support([1, 66, 67])
+    for sigs, left in [([a, b], 67), ([b, a], 1)]:
+        ex = gf2.MinWeightExplainer(sigs, 70, meas_cols=True, budget=1)
+        assert ex._sig_words.shape == (2, 2)
+        assert ex._solve_cluster(comp) == (0b01, 1 << left)
+        assert _enumerated_cluster(ex, comp) == ((0b01, 1 << left), True)
+
+
 def test_tracked_elimination_equals_solve():
     rng = random.Random(29)
     outcomes = set()

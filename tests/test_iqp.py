@@ -341,11 +341,24 @@ def test_ising_independent_enumeration():
         assert got == want
 
 
+def _circuit_to_ising(c):
+    """Integer Ising weights with p(0^n) = 4^-n |Z(e^{i pi/8})|^2.
+
+    Substituting z = (1 - s)/2 into the circuit phase gives edge weights
+    w_ij = cs_ij and vertex weights v_k = -(t_k + sum_j cs_kj), up to a
+    global phase that drops out of |Z|^2.
+    """
+    cs = c.cs_map()
+    v = [-(c.t_exponents[q] + sum(k for (i, j), k in cs.items() if q in (i, j)))
+         for q in range(c.n)]
+    return cs, v
+
+
 def test_circuit_ising_identity():
     rng = random.Random(8)
     for _ in range(40):
         c = rand_circuit(rng, rng.randrange(1, 8))
-        w, v = iqp.circuit_to_ising(c)
+        w, v = _circuit_to_ising(c)
         z = iqp.ising_partition(w, v, np.exp(1j * np.pi / 8))
         assert abs(z) ** 2 / 4.0**c.n == pytest.approx(iqp.prob_zero(c), abs=1e-9)
 

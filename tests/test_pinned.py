@@ -48,6 +48,16 @@ def test_logical_error_rate_pinned(k, epsilon, workers):
     assert dataclasses.astuple(est) == RATES[(k, epsilon)]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_logical_error_rate_pinned_l5_chain(workers):
+    # k=4 at L=5 decodes its outcomes through the software split, whose chain
+    # explainer (37 checks) falls back to its greedy on a few hundred clusters
+    est = harness.logical_error_rate(5, 4, NoiseModel(0.01), 512, seed=45, workers=workers)
+    assert dataclasses.astuple(est) == (
+        5, 4, 0.01, 512, 106, 0.20703125, 0.17417922322493423, 0.24424689828213308, 0, 1, 107
+    )
+
+
 def test_end_to_end_pinned():
     cfg = harness.ExperimentConfig(n=3, epsilon=0.03, gamma=1.0, trials=150, seed=12, L=3)
     res = harness.end_to_end(cfg)
