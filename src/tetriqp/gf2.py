@@ -123,32 +123,23 @@ def solve(m: BitMatrix, b: int) -> int | None:
     """Solve M x = b over GF(2); None if inconsistent.
 
     b is a bit row over m.nrows. Free variables are set to 0 in fixed pivot
-    order, so the solution is deterministic.
+    order, so the solution is deterministic: the XOR of `unit_solutions`
+    over the set bits of b, which is a solution exactly when b is consistent.
     """
-    n = m.cols
-    aug = []
-    for i, r in enumerate(m.rows):
-        aug.append(r | ((b >> i & 1) << n))
-    red, pivots = rref(aug, n + 1)
-    x = 0
-    for row, p in zip(red, pivots):
-        if p == n:
-            return None  # pivot in the augmented column
-        if row >> n & 1:
-            x |= 1 << p
-    return x
+    x = _xor_over(unit_solutions(m.rows, m.cols), b)
+    return x if m.mul_vec(x) == b else None
 
 
 def unit_solutions(rows, ncols) -> list[int]:
-    """Per row f, what `solve` returns for the right-hand side 1 << f.
+    """Per row f, the solution of M x = 1 << f with free variables 0.
 
     The rows are reduced once, with row f carrying the marker bit ncols + f,
     so every reduced row records which rows it combines. `rref` picks its
     pivots on columns 0..ncols-1 without looking at a right-hand side, so
-    `solve(M, b)` sets pivot column p exactly when the row of p combines an
-    odd number of the rows in b: its answer is the XOR of these per-row
-    answers over b whenever b is consistent. Where 1 << f itself is not,
-    entry f is that XOR term only, not a solution.
+    the solution of M x = b sets pivot column p exactly when the row of p
+    combines an odd number of the rows in b: it is the XOR of these answers
+    over b whenever b is consistent. Where 1 << f itself is not, entry f is
+    that XOR term only, not a solution.
     """
     red, pivots = rref([row | 1 << (ncols + f) for f, row in enumerate(rows)], ncols)
     out = [0] * len(rows)
@@ -578,7 +569,10 @@ class SyndromeDecoder:
     @classmethod
     @functools.cache
     def of(cls, check_rows: tuple[int, ...], ncols: int, meas_cols: bool = False):
-        """The decoder of these checks, built once per process."""
+        """The decoder of these checks, built once per process. The k=1
+        split's chain decoder has the 16 rows of the L=5 cell decoder, so
+        their 65,536-entry table (about 7 MB, 30 ms) is built once, where
+        separate decoders for the cells and the split would build it twice."""
         return cls(check_rows, ncols, meas_cols)
 
     def syndrome(self, word: int) -> int:

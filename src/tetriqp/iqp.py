@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .colex import file_number
-from .rng import make_rng
+from .rng import bernoulli_positions, make_rng
 
 EXACT_DISTRIBUTION_CAP = 24  # qubits for a full statevector
 PROB_ZERO_CAP = 30  # qubits for the exponential-sum evaluation
-CS_CHUNK = 1 << 16  # Philox words that _sample_cs holds at a time
 PHASE_TABLE = np.array([cmath.exp(1j * math.pi * m / 8) for m in range(16)])
 
 
@@ -75,7 +74,9 @@ class Distribution:
 
 def sample_circuit(n: int, gamma: float, seed: int) -> IqpCircuit:
     """Draw a sparse IQP circuit: uniform T^k per qubit, CS^k per pair with
-    probability min(1, gamma * log2(n) / n)."""
+    probability min(1, gamma * log2(n) / n). The draws: the n T exponents,
+    then the present pairs i < j, row-major, as geometric gaps (see
+    rng.bernoulli_positions), then one CS exponent per present pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if gamma < 0:
@@ -83,50 +84,14 @@ def sample_circuit(n: int, gamma: float, seed: int) -> IqpCircuit:
     rng = make_rng(seed)
     t = tuple(int(x) for x in rng.integers(0, 8, size=n))
     p = min(1.0, gamma * math.log2(n) / n) if n > 1 else 0.0
-    return IqpCircuit(n, t, _sample_cs(rng, n, p), gamma=gamma, seed=seed)
-
-
-def _sample_cs(rng, n: int, p: float) -> tuple[tuple[int, int, int], ...]:
-    """The CS gates of each pair i < j in row-major order, present with
-    probability p, drawn from the raw Philox words exactly as the scalar
-    loop `if rng.random() < p: rng.integers(0, 4)` draws them.
-
-    A pair reads one 64-bit word w as the double (w >> 11) * 2^-53. A gate
-    reads one 32-bit half: the generator's held half if it has one, else
-    the low half of the next word, holding its high half. Lemire's method
-    with range 4 never rejects, so the exponent is that half >> 30. The
-    words are drawn CS_CHUNK at a time, and only the gates are walked in
-    Python; the held half and the pair cursor carry from chunk to chunk.
-    """
-    pairs = n * (n - 1) // 2
-    state = rng.bit_generator.state
-    held = state["uinteger"] if state["has_uint32"] else None
-    cs = []
-    i, row_end = 0, n - 1  # the row of the last gate, and the first pair past it
-    pair = 0  # the pair that reads the next word
-    while pair < pairs:
-        left = pairs - pair
-        words = rng.bit_generator.random_raw(min(CS_CHUNK, left + (left + 1) // 2))
-        doubles = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        pos = 0  # the next unread word
-        for at in np.flatnonzero(doubles < p).tolist():
-            if at < pos:  # the word a gate's half took
-                continue
-            pair += at - pos
-            if pair >= pairs:
-                break
-            if held is None:  # the next word; past the chunk's end it is drawn alone
-                word = int(words[at + 1] if at + 1 < len(words) else rng.bit_generator.random_raw())
-                half, held, pos = word & 0xFFFFFFFF, word >> 32, at + 2
-            else:
-                half, held, pos = held, None, at + 1
-            while pair >= row_end:
-                i += 1
-                row_end += n - 1 - i
-            cs.append((i, pair - row_end + n, half >> 30))
-            pair += 1
-        pair += max(len(words) - pos, 0)
-    return tuple(cs)
+    pairs = bernoulli_positions(rng, p, n * (n - 1) // 2)
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows + 1) // 2  # the first pair of each row i
+    i = starts.searchsorted(pairs, side="right") - 1
+    j = pairs - starts[i] + i + 1
+    k = rng.integers(0, 4, len(pairs))
+    cs = tuple(zip(i.tolist(), j.tolist(), k.tolist()))
+    return IqpCircuit(n, t, cs, gamma=gamma, seed=seed)
 
 
 # ---------------------------------------------------------------------------

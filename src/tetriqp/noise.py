@@ -26,14 +26,13 @@ Faults are sampled a batch of BATCH trials at a time, over the flattened
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import gf2
-from .rng import make_rng
+from .rng import bernoulli_positions, make_rng
 from .surgery import TetrahelixCode
 
 
@@ -210,25 +209,6 @@ class BatchFaults:
             yield trials[a], codes[a:b]
 
 
-def _bernoulli_positions(rng, p: float, size: int) -> np.ndarray:
-    """Sorted positions of the ones among `size` i.i.d. Bernoulli(p) draws.
-    The gap from one 1 to the next is geometric(p), so the draws cost
-    O(size * p) time and memory instead of O(size)."""
-    if p == 0:
-        return np.empty(0, dtype=np.int64)
-    chunk = int(size * p + 6 * math.sqrt(size * p) + 16)  # one round, nearly always
-    parts, last = [], -1
-    while True:
-        # a gap above size leaves the grid from anywhere; clipping there keeps
-        # the sums in int64 (numpy returns 2^63 - 1 for a gap beyond it)
-        pos = last + np.minimum(rng.geometric(p, chunk), size + 1).cumsum()
-        if pos[-1] >= size:
-            parts.append(pos[: pos.searchsorted(size)])
-            return np.concatenate(parts)
-        parts.append(pos)
-        last = int(pos[-1])
-
-
 def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> BatchFaults:
     """The faults of one batch: each location of each of BATCH trials is
     faulty independently with probability epsilon, and each fault draws its
@@ -238,7 +218,7 @@ def sample_iid_faults(model: NoiseModel, layout: StageLayout, seed) -> BatchFaul
     positions of the (BATCH, layout.size) grid, then one label per fault.
     """
     rng = make_rng(seed)
-    positions = _bernoulli_positions(rng, model.epsilon, BATCH * layout.size)
+    positions = bernoulli_positions(rng, model.epsilon, BATCH * layout.size)
     labels = model.cuts.searchsorted(rng.random(len(positions)), side="right")
     return BatchFaults(layout, positions, labels)
 

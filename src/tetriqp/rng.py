@@ -11,9 +11,14 @@ stream (seed, batch, tag) runs it under the same key from counter
 overlap, and none overlaps make_rng's stream (whose word 3 is 0), before
 2^64 blocks. A batch's draws depend only on (seed, batch, tag), never on
 how batches are chunked across workers or interleaved.
+
+bernoulli_positions draws an i.i.d. Bernoulli pattern as geometric gaps;
+faults (noise) and CS gates (iqp) are both drawn with it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -66,3 +71,22 @@ class TrialStreams:
         state["counter"][1:3] = batch, tag
         self._bitgen.state = self._state
         return self._gen
+
+
+def bernoulli_positions(rng, p: float, size: int) -> np.ndarray:
+    """Sorted positions of the ones among `size` i.i.d. Bernoulli(p) draws.
+    The gap from one 1 to the next is geometric(p), so the draws cost
+    O(size * p) time and memory instead of O(size)."""
+    if p == 0:
+        return np.empty(0, dtype=np.int64)
+    chunk = int(size * p + 6 * math.sqrt(size * p) + 16)  # one round, nearly always
+    parts, last = [], -1
+    while True:
+        # a gap above size leaves the grid from anywhere; clipping there keeps
+        # the sums in int64 (numpy returns 2^63 - 1 for a gap beyond it)
+        pos = last + np.minimum(rng.geometric(p, chunk), size + 1).cumsum()
+        if pos[-1] >= size:
+            parts.append(pos[: pos.searchsorted(size)])
+            return np.concatenate(parts)
+        parts.append(pos)
+        last = int(pos[-1])

@@ -233,6 +233,53 @@ def test_criterion_8_single_fault_tolerance():
     _report(8, f"single faults, 0 failures: {detail}", t0)
 
 
+def _fault_pair_cases(sim):
+    """Every pair of acting fault codes at distinct locations (the labels of
+    `_single_fault_cases`), run through the simulator's own correction and
+    the decode of the all-zero outcome, which suffices as decoding is affine
+    on noiseless outcomes; yields (codes, wrong, prep_noncorrectable).
+
+    A pair is wrong when it leaves a merge misaligned or, for some twirl
+    subset of the X pattern crossing the layer, decodes to logical 1.
+    """
+    codes = [
+        4 * i + _LABELS.index(label)
+        for i, loc in enumerate(sim.layout.locations)
+        for label in (("X", "Z", "Y") if loc[0] in (PREP_DATA, LAYER) else ("flip",))
+    ]
+    effects = sim.layout.effects
+    for a, b in itertools.combinations(codes, 2):
+        if a // 4 == b // 4:
+            continue
+        x_diff, flips, sector, prep_nc = sim.correct(effects[a] ^ effects[b])
+        supp = gf2.support(x_diff)
+        wrong = any(sector) or any(
+            sim._decode(flips ^ sum(1 << s for s in combo))
+            for r in range(len(supp) + 1)
+            for combo in itertools.combinations(supp, r)
+        )
+        yield (a, b), wrong, prep_nc
+
+
+def test_fault_pair_certificate_k1_l5():
+    # criterion 8's rule with two faults: at (k, L) = (1, 5) no fault pair
+    # flips the decoded logical or misaligns a merge, so f_2 = 0 exactly
+    t0 = time.time()
+    pairs, wrong, prep_only = 0, [], 0
+    for codes, bad, prep_nc in _fault_pair_cases(ChainSim.build(1, 5)):
+        pairs += 1
+        if bad:
+            wrong.append(codes)
+        elif prep_nc:
+            prep_only += 1  # residual odd against Z-bar, decoded bit unchanged
+    assert not wrong, (len(wrong), wrong[:10])
+    assert pairs == 142_455  # every acting code pair at distinct locations
+    print(
+        f"\n[PASS] fault pairs at (k=1, L=5): {pairs} pairs, 0 wrong, "
+        f"{prep_only} raise only prep_noncorrectable ({time.time() - t0:.1f}s)"
+    )
+
+
 def test_criterion_9_single_shot_suppression():
     t0 = time.time()
     trials = 100_000

@@ -76,6 +76,29 @@ def test_solve_random_consistent():
         assert m.mul_vec(x2) == b
 
 
+def _augmented_solve(m, b):
+    """Reference for gf2.solve: eliminate [M | b] and read the solution off
+    the augmented column, free variables 0; None on a pivot in that column."""
+    n = m.cols
+    red, pivots = gf2.rref([r | (b >> i & 1) << n for i, r in enumerate(m.rows)], n + 1)
+    if pivots and pivots[-1] == n:
+        return None
+    return sum(1 << p for row, p in zip(red, pivots) if row >> n & 1)
+
+
+def test_solve_equals_augmented_elimination():
+    rng = random.Random(23)
+    inconsistent = 0
+    for _ in range(1500):
+        ncols, nrows = rng.randrange(1, 20), rng.randrange(1, 16)
+        m = mat(random_rows(rng, nrows, ncols), ncols)
+        for b in (m.mul_vec(rng.getrandbits(ncols)), rng.getrandbits(nrows)):
+            want = _augmented_solve(m, b)
+            inconsistent += want is None
+            assert gf2.solve(m, b) == want
+    assert inconsistent > 300
+
+
 def test_min_weight_trivial():
     res = gf2.min_weight_in_coset([], 0, 5, weight_cap=3)
     assert res.found and res.weight == 0 and res.witness == 0

@@ -67,40 +67,72 @@ def test_prob_zero_matches_statevector():
         assert abs(iqp.prob_zero(c) - float(iqp.exact_distribution(c).probs[0])) <= 1e-9
 
 
-def _sample_circuit_reference(n, gamma, seed):
-    """sample_circuit's draws made one at a time: one rng.random() per pair
-    i < j in row-major order, then one rng.integers(0, 4) per CS gate."""
-    rng = make_rng(seed)
-    t = tuple(int(x) for x in rng.integers(0, 8, size=n))
-    p = min(1.0, gamma * math.log2(n) / n) if n > 1 else 0.0
-    cs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                cs.append((i, j, int(rng.integers(0, 4))))
-    return iqp.IqpCircuit(n, t, tuple(cs), gamma=gamma, seed=seed)
+def _pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def test_sample_circuit_equals_the_scalar_draws(monkeypatch):
-    # n = 1 has no pair, gamma = 8 gives p = 1 at n = 2 and 4, and odd and
-    # even n leave the generator with and without a held 32-bit half; small
-    # chunks end between a gate's pair word and its half
-    cases = [
-        (n, gamma, seed)
-        for n in (1, 2, 3, 4, 5, 8, 13, 33)
-        for gamma in (0.0, 0.7, 1.0, 8.0)
-        for seed in range(4)
-    ]
-    cases += [(200, 1.0, 0), (200, 1.0, 1)]
-    want = [_sample_circuit_reference(n, gamma, seed) for n, gamma, seed in cases]
-    for chunk in (iqp.CS_CHUNK, 1, 2, 3, 64):
-        monkeypatch.setattr(iqp, "CS_CHUNK", chunk)
-        assert [iqp.sample_circuit(*case) for case in cases] == want, chunk
+def test_sampler_p_one_takes_every_pair_in_row_major_order():
+    # gamma = 8 gives p = min(1, 8 log2(n) / n) = 1 at n = 2 and 4
+    for n in (2, 4):
+        for seed in range(4):
+            c = iqp.sample_circuit(n, 8.0, seed)
+            assert [(i, j) for i, j, _ in c.cs_exponents] == _pairs(n)
+
+
+def test_sampler_maps_pairs_to_rows(monkeypatch):
+    # the pair -> (i, j) map on every pair of small n, and at n = 300 on the
+    # first and last pair of every row, the last pair (n - 2, n - 1) included
+    drawn = []
+
+    def positions(rng, p, size):
+        drawn.append(size)
+        return np.array(chosen, dtype=np.int64)
+
+    monkeypatch.setattr(iqp, "bernoulli_positions", positions)
+    for n in (2, 3, 5, 17, 300):
+        pairs = _pairs(n)
+        chosen = range(len(pairs))
+        if n == 300:
+            chosen = sorted({s for s, (i, j) in enumerate(pairs) if j in (i + 1, n - 1)})
+            assert pairs[chosen[-1]] == (n - 2, n - 1)
+        c = iqp.sample_circuit(n, 1.0, 0)
+        assert drawn.pop() == len(pairs)
+        assert [(i, j) for i, j, _ in c.cs_exponents] == [pairs[s] for s in chosen]
+
+
+def test_sampler_draw_order():
+    # T exponents first, as one draw of n, so they do not depend on gamma
+    for n, seed in ((1, 0), (5, 3), (64, 9)):
+        want = make_rng(seed).integers(0, 8, n).tolist()
+        for gamma in (0.0, 1.0, 8.0):
+            assert list(iqp.sample_circuit(n, gamma, seed).t_exponents) == want
+
+
+def test_sampler_single_qubit_has_no_gate():
+    for gamma in (0.0, 1.0, 8.0):
+        assert iqp.sample_circuit(1, gamma, 0).cs_exponents == ()
+
+
+def test_sampler_pair_frequency_and_cs_exponents():
+    # N=16, gamma=1: each of the 120 pairs present with probability 1/4 in
+    # each of 400 circuits; exponents uniform over 0..3. Chi-square tests,
+    # rejecting only at p ~ 0.001 (120 and 3 dof)
+    n, circuits, p = 16, 400, 0.25
+    hits = dict.fromkeys(_pairs(n), 0)
+    exps = [0] * 4
+    for s in range(circuits):
+        for i, j, k in iqp.sample_circuit(n, 1.0, s).cs_exponents:
+            hits[(i, j)] += 1
+            exps[k] += 1
+    mean, var = circuits * p, circuits * p * (1 - p)
+    assert sum((h - mean) ** 2 / var for h in hits.values()) < 173.6
+    expected = sum(exps) / 4
+    assert sum((e - expected) ** 2 / expected for e in exps) < 16.27
 
 
 def test_sampler_gamma_zero():
-    c = iqp.sample_circuit(16, 0.0, 3)
-    assert not c.cs_exponents
+    for n, seed in ((16, 3), (2, 0), (200, 1)):
+        assert not iqp.sample_circuit(n, 0.0, seed).cs_exponents
 
 
 def test_sampler_cs_count_expectation():

@@ -151,16 +151,6 @@ def test_tiny_epsilon_stays_in_range(layout):
         assert len(sample_iid_faults(NoiseModel(1e-300), layout, seed)) == 0
 
 
-def test_positions_continue_past_the_first_chunk():
-    # gaps that fall short of the grid are followed by further chunks
-    class UnitGaps:
-        def geometric(self, p, size):
-            return np.ones(size, dtype=np.int64)
-
-    got = noise._bernoulli_positions(UnitGaps(), 0.001, 1000)
-    assert got.tolist() == list(range(1000))
-
-
 def _trial_sets(faults, stop=BATCH):
     return [(t, tuple(codes)) for t, codes in faults.by_trial(stop)]
 

@@ -3,7 +3,7 @@ import pytest
 
 from tetriqp import harness
 from tetriqp.noise import NoiseModel
-from tetriqp.rng import TrialStreams, make_rng, philox_key
+from tetriqp.rng import TrialStreams, bernoulli_positions, make_rng, philox_key
 
 SEEDS = (0, 1, 2**32 - 1, 2**32 + 7, 10**6 + 100, 2**70 + 3)
 
@@ -85,3 +85,13 @@ def test_negative_seed_rejected():
         TrialStreams()(-1, 0, 0)
     with pytest.raises(ValueError):
         harness.logical_error_rate(3, 1, NoiseModel(0.01), 10, seed=-1)
+
+
+def test_positions_continue_past_the_first_chunk():
+    # gaps that fall short of the grid are followed by further chunks
+    class UnitGaps:
+        def geometric(self, p, size):
+            return np.ones(size, dtype=np.int64)
+
+    got = bernoulli_positions(UnitGaps(), 0.001, 1000)
+    assert got.tolist() == list(range(1000))
