@@ -10,7 +10,8 @@ the cluster takes a deterministic greedy fallback instead: column by column,
 the one that leaves the fewest violated checks, all columns scored at once
 by a numpy popcount of their packed signatures. That budget is
 kept only so that decodes stay bit-identical until an exact decoder replaces
-the search (ROADMAP.md, item 1). Cluster decodes are memoised per decoder.
+the search (ROADMAP.md, item 1). Cluster decodes are memoised per decoder,
+up to gf2.MEMO_MAX of them, by the simulator's memo rule (`gf2.remember`).
 The joint data-plus-measurement preparation decode always searches.
 
 Simulation runs in the Pauli difference frame: preparation decodes the face

@@ -169,10 +169,15 @@ def kernel_basis(rows, ncols) -> list[int]:
 
 
 def in_rowspace(rows, ncols, v: int) -> bool:
-    red, pivots = rref(rows, ncols)
-    for row, p in zip(red, pivots):
-        if v >> p & 1:
-            v ^= row
+    """Whether v is a sum of some of the rows: each row, then v, is reduced
+    against a basis keyed by the bit length of each basis row."""
+    basis = {}
+    for row in rows:
+        while row and (b := basis.get(row.bit_length())):
+            row ^= b
+        basis[row.bit_length()] = row
+    while v and (b := basis.get(v.bit_length())):
+        v ^= b
     return v == 0
 
 
@@ -328,7 +333,16 @@ def _word_rows(vs, nwords: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(-1, nwords)
 
 
-CLUSTER_MEMO_MAX = 1 << 12  # cluster decodes kept per explainer; cleared when full
+MEMO_MAX = 1 << 17  # entries per decode memo: a ChainSim's prep and final memos, a cluster memo
+
+
+def remember(memo: dict, key: int, value: int) -> None:
+    """Store a decode in a memo, emptying the memo first when it holds
+    MEMO_MAX entries. Nothing else empties a memo: it keeps its entries
+    for as long as its owner lives."""
+    if len(memo) >= MEMO_MAX:
+        memo.clear()
+    memo[key] = value
 
 
 class MinWeightExplainer:
@@ -350,7 +364,7 @@ class MinWeightExplainer:
     of its signature, packed as uint64 words, against the remainder. The
     budget is kept only so that decodes stay bit-identical until an exact
     decoder replaces this one (ROADMAP.md, item 1). Cluster decodes are
-    memoised, up to CLUSTER_MEMO_MAX of them.
+    memoised by `remember`, up to MEMO_MAX of them.
     """
 
     def __init__(self, col_sigs: list[int], n_checks: int, meas_cols: bool,
@@ -401,9 +415,8 @@ class MinWeightExplainer:
     def _solve_cluster(self, comp: int) -> tuple[int, int]:
         out = self._memo.get(comp)
         if out is None:
-            if len(self._memo) >= CLUSTER_MEMO_MAX:
-                self._memo.clear()
-            out = self._memo[comp] = self._search(comp)
+            out = self._search(comp)
+            remember(self._memo, comp, out)
         return out
 
     def _search(self, comp: int) -> tuple[int, int]:
@@ -549,8 +562,8 @@ class SyndromeDecoder:
     combination a plain enumeration would return, and a greedy fallback where
     that enumeration's budget runs out. With meas_cols, every check also
     gets a flip column, for joint data-plus-measurement decoding. Use `of` to
-    share one decoder, and its explainer's cluster memo, among all users of
-    the same checks.
+    share one decoder, and its explainer's cluster memo (at most MEMO_MAX
+    entries, emptied when full), among all users of the same checks.
     """
 
     def __init__(self, check_rows: tuple[int, ...], ncols: int, meas_cols: bool = False):

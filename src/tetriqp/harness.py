@@ -25,9 +25,10 @@ outcome flips only through their X-bar parity and their chain syndrome. So
 the simulator memoises the preparation fix per face syndrome and the final
 correction parity per chain syndrome (see `ChainSim.correct` and
 `ChainSim._decode`). The memos live as long as their simulator, so across
-runs and across the points of a scan. Each holds at most MEMO_MAX entries and
-is emptied only when full; a hit returns what a miss would compute, so the
-memos change no result, only which decoder calls a run makes.
+runs and across the points of a scan. Each holds at most `gf2.MEMO_MAX`
+entries and is emptied only when full (`gf2.remember`, the rule of the
+explainers' cluster memos too); a hit returns what a miss would compute, so
+the memos change no result, only which decoder calls a run makes.
 
 A trial fails when the decoded logical of its noisy outcome flips f is 1.
 That is the event that the noisy outcome decodes differently
@@ -67,7 +68,6 @@ from .surgery import TetrahelixCode, build_tetrahelix
 
 MAX_L = 7  # largest block distance a config or logical_error_rate accepts
 MAX_K = 8  # longest chain: k and ks of a config, the e2e depth cap max_k
-MEMO_MAX = 1 << 12  # entries per decode memo of a ChainSim; emptied when full
 
 
 def _is_a(value, kind) -> bool:
@@ -313,7 +313,7 @@ class ChainSim:
         for q in gf2.support(xhat):
             fix ^= effects[4 * (g0 + q)]  # an X entering preparation at chain qubit g0 + q
         fix &= ~self._prep_fields[b]
-        _remember(self._prep_memo, key, fix)
+        gf2.remember(self._prep_memo, key, fix)
         return fix
 
     def _decode(self, outcomes: int) -> int:
@@ -331,17 +331,8 @@ class ChainSim:
             dec, f = self.block_decoder, 0
             for syndrome in res.block_syndromes:
                 f ^= (dec.decode_cells(syndrome) & dec.lx).bit_count() & 1
-            _remember(self._final_memo, sigma, f)
+            gf2.remember(self._final_memo, sigma, f)
         return ((outcomes & self.t.code.logical_x).bit_count() ^ f) & 1
-
-
-def _remember(memo: dict, key: int, value: int) -> None:
-    """Store a decode in one of a ChainSim's memos, emptying it first when
-    it holds MEMO_MAX entries. Nothing else empties a memo: it keeps its
-    entries across the runs of its simulator."""
-    if len(memo) >= MEMO_MAX:
-        memo.clear()
-    memo[key] = value
 
 
 # ---------------------------------------------------------------------------

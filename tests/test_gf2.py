@@ -99,6 +99,29 @@ def test_solve_equals_augmented_elimination():
     assert inconsistent > 300
 
 
+def _rref_in_rowspace(rows, ncols, v):
+    """Reference for gf2.in_rowspace: reduce v by the reduced rows' pivots."""
+    red, pivots = gf2.rref(rows, ncols)
+    for row, p in zip(red, pivots):
+        if v >> p & 1:
+            v ^= row
+    return v == 0
+
+
+def test_in_rowspace_equals_rref_reduction():
+    rng = random.Random(29)
+    inside = 0
+    for _ in range(3000):
+        ncols, nrows = rng.randrange(1, 40), rng.randrange(0, 30)
+        rows = random_rows(rng, nrows, ncols)
+        # a sum of rows, a random word and zero
+        for v in (gf2._xor_over(rows, rng.getrandbits(nrows)), rng.getrandbits(ncols), 0):
+            want = _rref_in_rowspace(rows, ncols, v)
+            inside += want
+            assert gf2.in_rowspace(rows, ncols, v) == want
+    assert 6000 < inside < 9000  # some random words lie in the span, some do not
+
+
 def test_min_weight_trivial():
     res = gf2.min_weight_in_coset([], 0, 5, weight_cap=3)
     assert res.found and res.weight == 0 and res.witness == 0
@@ -380,7 +403,7 @@ def test_tracked_elimination_equals_solve():
 
 
 def test_cluster_memo_is_capped_and_transparent(monkeypatch, recorded_clusters):
-    monkeypatch.setattr(gf2, "CLUSTER_MEMO_MAX", 8)
+    monkeypatch.setattr(gf2, "MEMO_MAX", 8)
     for ex, comps in recorded_clusters.items():
         comps = sorted(comps)
         ex._memo.clear()

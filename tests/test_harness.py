@@ -599,16 +599,16 @@ def test_memos_stay_within_the_cap_and_warm_equals_fresh(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ChainSim, "build", classmethod(lambda cls, k, L: fresh))
         want = harness.logical_error_rate(L, k, model, trials, seed=31)
-    monkeypatch.setattr(harness, "MEMO_MAX", 64)
+    monkeypatch.setattr(gf2, "MEMO_MAX", 64)
     sim = ChainSim.build(k, L)
     sizes = []
-    remember = harness._remember
+    remember = gf2.remember
 
     def recording_remember(memo, key, value):
         remember(memo, key, value)
         sizes.append(len(memo))
 
-    monkeypatch.setattr(harness, "_remember", recording_remember)
+    monkeypatch.setattr(gf2, "remember", recording_remember)
     assert harness.logical_error_rate(L, k, model, trials, seed=31) == want
     assert max(sizes) == 64 and sizes.count(1) > 4  # a first entry per memo, and one per emptying
     # no run empties the memos: a second run starts from the first one's
@@ -620,7 +620,14 @@ def test_memos_stay_within_the_cap_and_warm_equals_fresh(monkeypatch):
     assert harness.end_to_end(cfg) == harness.end_to_end(cfg)
 
 
-@pytest.mark.parametrize("k, L", [(k, 3) for k in (1, 2, 3, 4)] + [(1, 5), (2, 5)])
+def _cluster_memos(sim):
+    """The cluster memos of the explainers that a simulator's decoders use."""
+    decoders = [sim.block_decoder.faces, sim.block_decoder.cells, sim.t.split_context.chain]
+    decoders += [dec.checks for dec in sim.facet_decoders]
+    return [dec.search._memo for dec in decoders if dec.search is not None]
+
+
+@pytest.mark.parametrize("k, L", [(k, 3) for k in (1, 2, 3, 4)] + [(1, 5), (2, 5), (4, 5)])
 def test_memo_size_changes_no_row_or_estimate(monkeypatch, k, L):
     # a hit returns what a miss would compute: with two entries per memo
     # nearly every decode misses, and the rows and estimate stay the same
@@ -628,16 +635,20 @@ def test_memo_size_changes_no_row_or_estimate(monkeypatch, k, L):
 
     def run():
         sim = ChainSim(build_tetrahelix(k, L))
+        for memo in _cluster_memos(sim):
+            memo.clear()  # the explainers are shared: start them cold too
         with monkeypatch.context() as patch:
             patch.setattr(ChainSim, "build", classmethod(lambda cls, k, L: sim))
             est = harness.logical_error_rate(L, k, model, trials, seed=23)
         rows = [sim.run_batch(model, 29, b) for b in range(2)]
-        return est, rows, len(sim._prep_memo) + len(sim._final_memo)
+        memos = [sim._prep_memo, sim._final_memo, *_cluster_memos(sim)]
+        return est, rows, len(sim._prep_memo) + len(sim._final_memo), memos
 
-    est, rows, entries = run()
+    est, rows, entries, _ = run()
     assert entries > 4
-    monkeypatch.setattr(harness, "MEMO_MAX", 2)
-    small_est, small_rows, small_entries = run()
+    monkeypatch.setattr(gf2, "MEMO_MAX", 2)
+    small_est, small_rows, small_entries, memos = run()
     assert small_entries <= 4
     assert small_rows == rows
     assert small_est == est
+    assert len(memos) > 2 and max(map(len, memos)) <= gf2.MEMO_MAX
