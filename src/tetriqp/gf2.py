@@ -355,7 +355,10 @@ class MinWeightExplainer:
     pruned depth-first search over its candidate columns, weight by weight,
     which returns the first combination that an `itertools.combinations`
     enumeration of the same candidates returns: the lexicographically first
-    of minimum weight. A packing bound prunes the search. The enumeration's
+    of minimum weight. Two bounds prune the search: a packing bound (violated
+    checks with pairwise disjoint candidates need a pick each) and a reach
+    bound (r picks flip at most r times the most checks one column flips).
+    Clusters grow from the checks each step adds. The enumeration's
     work budget (the summed binomials of the weights tried) still decides
     when to give up and fall back to a deterministic greedy, which is then
     not minimum weight: it picks, one at a time, the unused data column that
@@ -383,22 +386,16 @@ class MinWeightExplainer:
         self.check_cols = cols
         nwords = max(1, -(-n_checks // 64))
         self._sig_words = _word_rows(col_sigs, nwords)  # the greedy's popcounts
+        self._reach = max([int(meas_cols), *map(int.bit_count, col_sigs)])
         self._memo: dict[int, tuple[int, int]] = {}
 
     def _clusters(self, syndrome: int):
         left = syndrome
         while left:
-            f0 = (left & -left).bit_length() - 1
-            comp = 1 << f0
-            while True:
-                grow = 0
-                for f in support(comp):
-                    grow |= self.check_adj[f]
-                grow &= syndrome
-                if grow & ~comp:
-                    comp |= grow
-                else:
-                    break
+            comp = new = left & -left
+            while new:
+                new = _or_over(self.check_adj, new) & syndrome & ~comp
+                comp |= new
             yield comp
             left &= ~comp
 
@@ -427,6 +424,7 @@ class MinWeightExplainer:
         # explanations that cancel outside the cluster stay reachable.
         ncols = len(self.col_sigs)
         col_sigs, check_cols, of_sig = self.col_sigs, self.check_cols, self._cols_of_sig
+        reach = self._reach
         data_cands = _or_over(check_cols, comp)
         cands = data_cands
         flip0 = 0  # the flip column of check f is bit ncols + f, flip0 << f
@@ -451,6 +449,8 @@ class MinWeightExplainer:
                 if flip0 and rem == 1 << f and ncols + f >= start:
                     return flip0 << f
                 return 0
+            if rem.bit_count() > r * reach:
+                return 0  # r picks flip at most r * reach checks
             # packing bound: violated checks whose remaining candidates are
             # pairwise disjoint each need a pick of their own; and the first
             # pick comes no later than the last candidate of any check

@@ -323,7 +323,9 @@ class ChainSim:
         every block the cell syndrome of its part of the chain hypothesis
         for sigma; so the block decodes add a parity F that depends on sigma
         alone. The final memo holds F per sigma, and a miss computes it
-        from `surgery.split_frame` and the block cell decoders."""
+        from the block syndromes of `surgery.split_frame`, which reads them
+        off the chain hypothesis without running the frame, and the block
+        cell decoders."""
         sigma = self.t.split_context.chain.syndrome(outcomes)
         f = self._final_memo.get(sigma)
         if f is None:

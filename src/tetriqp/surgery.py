@@ -14,14 +14,15 @@ it; a chain file holds just k and the block colex.
 The split used at decode time is software-only: it applies a product of
 pair stabilizers, merge by merge, that gives each block the cell syndrome of
 its part of the chain decoder's hypothesis, so every block is left with an
-error its own tetrahedral decoder can resolve.
+error its own tetrahedral decoder can resolve. So the block syndromes are
+read off that hypothesis, and the frame itself is computed only when read.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import gf2
@@ -147,9 +148,33 @@ def build_tetrahelix(k: int, L: int, block: Block | None = None) -> TetrahelixCo
 
 @dataclass(frozen=True)
 class SplitResult:
-    block_outcomes: tuple[int, ...]  # per-block outcome bits after the frame
-    block_syndromes: tuple[int, ...]  # per-block cell values (bit set = -1)
-    frame: tuple[int, ...]  # chosen pair subset per merge (mask over pairs)
+    """The split of `outcomes` under the chain hypothesis zhat: block b gets
+    the cell syndrome of its part of zhat, `block_syndromes[b]` (bit set =
+    -1). The frame, which decoding does not need, is computed on first read:
+    `block_outcomes`, the per-block outcome bits after it, and `frame`, the
+    chosen pair subset per merge (a mask over its pairs)."""
+
+    t: TetrahelixCode = field(repr=False, compare=False)
+    outcomes: int
+    zhat: int
+    block_syndromes: tuple[int, ...]
+    block_outcomes = property(lambda self: self._framed[0])
+    frame = property(lambda self: self._framed[1])
+
+    @functools.cached_property
+    def _framed(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        t, frames = self.t, []
+        outs = [t.block_slice(self.outcomes, b) for b in range(t.k)]
+        for j, cells in enumerate(t.split_context.merges):
+            diff = outs[j] ^ t.block_slice(self.zhat, j)
+            sigma = 0
+            for row, rho, pattern in cells:
+                if (diff & row).bit_count() & 1:
+                    sigma ^= rho
+                    outs[j] ^= pattern
+                    outs[j + 1] ^= pattern
+            frames.append(sigma)
+        return tuple(outs), tuple(frames)
 
 
 class SplitContext:
@@ -198,33 +223,20 @@ def split_frame(t: TetrahelixCode, outcomes: int) -> SplitResult:
 
     The frame must not destroy error information, so the gauge sector is
     separated from genuine errors first: the chain's SyndromeDecoder gives a
-    minimum-weight hypothesis for the (gauge-invariant) chain syndrome. Merge
-    by merge, every cell of block j fused across merge j whose value differs
-    from the one the hypothesis predicts gets its dual pair pattern; each
+    minimum-weight hypothesis zhat for the (gauge-invariant) chain syndrome.
+    Merge by merge, every cell of block j fused across merge j whose value
+    differs from the one zhat predicts gets its dual pair pattern; each
     pattern flips that cell alone, so the sectors are read first and the
     patterns XORed in any order. After the last merge, every block has the
-    cell syndrome of its part of the hypothesis, which the tetrahedral
-    decoders then resolve. Only pair products are ever applied, so the chain
+    cell syndrome of its part of zhat, so that is computed from zhat's
+    slices, and the frame only when read. The tetrahedral decoders then
+    resolve each block. Only pair products are ever applied, so the chain
     logical parity is untouched.
     """
     ctx = t.split_context
-    k = t.k
-    outs = [t.block_slice(outcomes, b) for b in range(k)]
     zhat, _ = ctx.chain.decode(ctx.chain.syndrome(outcomes))
-
-    frames = []
-    for j, cells in enumerate(ctx.merges):
-        diff = outs[j] ^ t.block_slice(zhat, j)
-        sigma = 0
-        for row, rho, pattern in cells:
-            if (diff & row).bit_count() & 1:
-                sigma ^= rho
-                outs[j] ^= pattern
-                outs[j + 1] ^= pattern
-        frames.append(sigma)
-
-    syndromes = tuple(ctx.cells.syndrome(out) for out in outs)
-    return SplitResult(tuple(outs), syndromes, tuple(frames))
+    syndromes = tuple(ctx.cells.syndrome(t.block_slice(zhat, b)) for b in range(t.k))
+    return SplitResult(t, outcomes, zhat, syndromes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import operator
@@ -366,6 +367,74 @@ def test_greedy_ties_pick_the_lowest_column():
         assert ex._sig_words.shape == (2, 2)
         assert ex._solve_cluster(comp) == (0b01, 1 << left)
         assert _enumerated_cluster(ex, comp) == ((0b01, 1 << left), True)
+
+
+def test_reach_bound_keeps_a_cluster_of_exactly_r_heaviest_columns(monkeypatch):
+    # the heaviest columns flip 3 checks; checks 0..5 need the two disjoint
+    # ones, 2 * 3 checks in all, so the bound must not cut weight 2, and
+    # checks 0..6 need 7 > 2 * 3, so they go on to weight 3 (A, B and E)
+    greedy = []
+    monkeypatch.setattr(gf2.MinWeightExplainer, "_greedy",
+                        lambda self, comp: greedy.append(comp) or (0, 0))
+    a, b, c, d, e = ([0, 1, 2], [3, 4, 5], [2, 3], [5, 6], [6])
+    ex = gf2.MinWeightExplainer([gf2.vector_from_support(s) for s in (a, b, c, d, e)], 7,
+                                meas_cols=False)
+    assert ex._reach == 3
+    for checks, picks in [(range(6), 0b00011), (range(7), 0b10011)]:
+        comp = gf2.vector_from_support(checks)
+        assert list(ex._clusters(comp)) == [comp]
+        assert comp.bit_count() == 2 * ex._reach + (len(checks) - 6)
+        assert ex._solve_cluster(comp) == (picks, 0)
+        assert _enumerated_cluster(ex, comp) == ((picks, 0), False)
+    assert not greedy
+
+
+def _bfs_clusters(sigs, syndrome):
+    """The clusters of a syndrome by a breadth-first search over its checks,
+    two checks being neighbours when some column flips both; lowest
+    unvisited check first."""
+    neighbours = {}
+    for sig in sigs:
+        for f in gf2.support(sig):
+            neighbours.setdefault(f, set()).update(gf2.support(sig))
+    out, seen = [], set()
+    for f0 in gf2.support(syndrome):
+        if f0 in seen:
+            continue
+        seen.add(f0)
+        comp, queue = 0, collections.deque([f0])
+        while queue:
+            f = queue.popleft()
+            comp |= 1 << f
+            for g in sorted(neighbours.get(f, ())):
+                if syndrome >> g & 1 and g not in seen:
+                    seen.add(g)
+                    queue.append(g)
+        out.append(comp)
+    return out
+
+
+def test_clusters_equal_breadth_first_search():
+    from tetriqp.colex import build_tetrahedral_colex
+    from tetriqp.surgery import Block, build_tetrahelix
+
+    chain = build_tetrahelix(4, 5).split_context.chain.search
+    code = Block.build(build_tetrahedral_colex(5)).code
+    prep = gf2.SyndromeDecoder.of(code.hz.rows, code.n, meas_cols=True).search
+    rng = random.Random(53)
+    sizes = set()
+    for ex in (chain, prep):
+        assert ex is not None
+        for i in range(400):
+            if i % 2:
+                syn = rng.getrandbits(ex.n_checks)
+            else:  # a few sparse errors, often in separate clusters
+                syn = gf2._xor_over(ex.col_sigs, gf2.vector_from_support(
+                    rng.sample(range(len(ex.col_sigs)), rng.randrange(1, 6))))
+            want = _bfs_clusters(ex.col_sigs, syn)
+            assert list(ex._clusters(syn)) == want
+            sizes.add(min(len(want), 3))
+    assert sizes == {1, 2, 3}
 
 
 def test_tracked_elimination_equals_solve():

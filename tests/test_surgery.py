@@ -298,15 +298,17 @@ def test_split_frame_pinned(k, L):
     assert h.hexdigest() == SPLIT_PINS[k, L]
 
 
-@pytest.mark.parametrize("k,L", [(2, 3), (3, 3), (4, 3), (5, 3), (4, 5)])
+@pytest.mark.parametrize("k,L", sorted({(2, 3), (3, 3), (4, 3), (5, 3), (4, 5), *SPLIT_PINS}))
 def test_split_leaves_each_block_its_part_of_the_hypothesis(k, L):
-    # after the frame, block b's cell syndrome is that of block b's part of
-    # the chain decoder's hypothesis for the whole outcome word
+    # after the frame, block b's cell syndrome, read off its framed outcomes
+    # by the block's own check matrix, is that of block b's part of the chain
+    # decoder's hypothesis for the whole outcome word, the syndrome that
+    # split_frame reports without running the frame
     t = sg.build_tetrahelix(k, L)
-    ctx = t.split_context
+    ctx, hx = t.split_context, t.block.code.hx
     for o in _noisy_words(t, 77 * k + L, 600):
         zhat, _ = ctx.chain.decode(ctx.chain.syndrome(o))
         res = sg.split_frame(t, o)
-        assert res.block_syndromes == tuple(
-            ctx.cells.syndrome(t.block_slice(zhat, b)) for b in range(k)
-        )
+        want = tuple(ctx.cells.syndrome(t.block_slice(zhat, b)) for b in range(k))
+        assert tuple(hx.mul_vec(out) for out in res.block_outcomes) == want
+        assert res.block_syndromes == want
